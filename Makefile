@@ -52,12 +52,13 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Bounded fuzz sessions for the Spec-validation, cache-key, and
-# linter-robustness invariants.
+# Bounded fuzz sessions for the Spec-validation, cache-key,
+# linter-robustness, and model-evaluator-vs-oracle invariants.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeNeverPanics -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzKeyEquality -fuzztime 30s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzLintNeverPanics -fuzztime 30s ./internal/lint
+	$(GO) test -run '^$$' -fuzz FuzzEvaluatorMatchesScalar -fuzztime 30s ./internal/model
 
 # Regenerate the golden reference after an intentional numbers change.
 # Review the diff before committing: every change here is a change to the

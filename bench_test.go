@@ -165,10 +165,9 @@ func BenchmarkOptimize(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4Batch is the Figure 4 study at a larger scale point (32
-// ranks, doubled real-run averaging) — the configuration the batched grid
-// path has to keep affordable.
-func BenchmarkFig4Batch(b *testing.B) {
+// BenchmarkFig4Ranks32 is the Figure 4 study at a larger scale point: 32
+// ranks and doubled real-run averaging.
+func BenchmarkFig4Ranks32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig4(32, 4, 100)
 		if err != nil {
@@ -180,10 +179,9 @@ func BenchmarkFig4Batch(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeBatch measures the batched Algorithm 1 surface on a
-// full evaluation grid — all six failure cases across all four policies in
-// one lockstep core.OptimizeBatch call (the shape RunGrid submits).
-func BenchmarkOptimizeBatch(b *testing.B) {
+// evalGridProblems is a full evaluation grid: all six failure cases across
+// all four policies, the shape experiments.RunGrid submits.
+func evalGridProblems(b *testing.B) []core.Problem {
 	var problems []core.Problem
 	for _, spec := range experiments.FailureCases {
 		sc := experiments.EvalScenario(3e6, spec)
@@ -195,11 +193,34 @@ func BenchmarkOptimizeBatch(b *testing.B) {
 			problems = append(problems, prob)
 		}
 	}
+	return problems
+}
+
+// BenchmarkOptimizeBatch measures the batched Algorithm 1 surface on the
+// evaluation grid: one lockstep core.OptimizeBatch call over its 24
+// problems.
+func BenchmarkOptimizeBatch(b *testing.B) {
+	problems := evalGridProblems(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, out := range core.OptimizeBatch(problems) {
 			if out.Err != nil {
 				b.Fatal(out.Err)
+			}
+		}
+	}
+}
+
+// BenchmarkOptimizeLoop solves the same 24 problems as
+// BenchmarkOptimizeBatch with a loop of core.Optimize, so the pair measures
+// what the lockstep batch buys over sequential solves.
+func BenchmarkOptimizeLoop(b *testing.B) {
+	problems := evalGridProblems(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pr := range problems {
+			if _, err := core.Optimize(pr.Params, pr.Opts); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

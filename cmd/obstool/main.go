@@ -1,7 +1,6 @@
 // Command obstool inspects the observability artifacts written by the
 // -metrics-out and -trace-out flags of cmd/experiments and cmd/ckptopt.
-// It subsumes the old cmd/obscheck validator (which remains as a
-// deprecated shim) and adds comparison and analysis modes:
+// It has four modes:
 //
 //	obstool validate [-metrics FILE] [-trace FILE]
 //	    Validate artifacts against the exporter schemas (internal/obs).

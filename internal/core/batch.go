@@ -23,15 +23,13 @@ type Outcome struct {
 // lockstep: every active lane advances one inner fixed-point iteration per
 // round, and the outer μ-refreshes of a round happen together once every
 // lane's inner solve of that round has terminated. Per-lane convergence
-// masks retire finished lanes; the per-level iterate vectors of all lanes
-// live in one shared scratch arena, and each lane's scale search runs on
-// its precomputed model.Slab grid (see SolveInner).
+// masks retire finished lanes, and the per-level iterate vectors of all
+// lanes live in one shared scratch arena.
 //
 // Every lane computes exactly what a sequential Optimize call would — same
 // floating-point operations in the same per-lane order — so the outcomes
 // are bit-identical to looping over Optimize; the batch form exists to
-// amortize scratch, keep slabs cache-hot, and give grid drivers a single
-// call per sweep.
+// amortize scratch and give grid drivers a single call per sweep.
 func OptimizeBatch(problems []Problem) []Outcome {
 	out := make([]Outcome, len(problems))
 	if len(problems) == 0 {
@@ -91,67 +89,6 @@ func OptimizeBatch(problems []Problem) []Outcome {
 	for i, o := range runs {
 		if o != nil {
 			out[i] = Outcome{Solution: o.sol, Err: o.err}
-		}
-	}
-	return out
-}
-
-// InnerSolution is one lane's result of SolveInnerBatch, mirroring the
-// return values of SolveInner.
-type InnerSolution struct {
-	X          []float64
-	N          float64
-	Iterations int
-	Err        error
-}
-
-// SolveInnerBatch runs the inner convex solve for many independent problem
-// instances in lockstep: each round advances every still-unconverged lane
-// by one fixed-point iteration (interval sweep + batched scale search).
-// tEst and nInit give each lane's frozen wall-clock estimate and starting
-// scale; all three slices must have equal length. Lane results are
-// bit-identical to calling SolveInner per lane.
-func SolveInnerBatch(problems []Problem, tEst, nInit []float64) []InnerSolution {
-	if len(tEst) != len(problems) || len(nInit) != len(problems) {
-		panic("core: SolveInnerBatch argument lengths differ")
-	}
-	out := make([]InnerSolution, len(problems))
-	if len(problems) == 0 {
-		return out
-	}
-	total := 0
-	for i := range problems {
-		total += 4 * problems[i].Params.L()
-	}
-	arena := make([]float64, total)
-	runs := make([]innerRun, len(problems))
-	off := 0
-	for i := range problems {
-		L := problems[i].Params.L()
-		st := newInnerState(problems[i].Params, arena[off:off+4*L])
-		off += 4 * L
-		runs[i].start(st, tEst[i], nInit[i], problems[i].Opts)
-	}
-	for {
-		pending := false
-		for i := range runs {
-			if runs[i].done {
-				continue
-			}
-			if !runs[i].step() {
-				pending = true
-			}
-		}
-		if !pending {
-			break
-		}
-	}
-	for i := range runs {
-		out[i] = InnerSolution{
-			X:          append([]float64(nil), runs[i].st.x...),
-			N:          runs[i].n,
-			Iterations: runs[i].iter,
-			Err:        runs[i].err,
 		}
 	}
 	return out

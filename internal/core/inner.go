@@ -16,28 +16,17 @@ import (
 const scaleGridN = 64
 
 // innerState is the reusable workspace of one inner solver instance: the
-// per-level iterate vectors, the precomputed gradient-scan slab (the scan
-// grid depends only on [ScaleFloor, ceiling], so its cost/speedup slabs are
-// filled once and reused across every inner iteration and outer step), and
-// the bisection/argmin scratch. One instance serves one Params value; it is
-// not safe for concurrent use.
+// per-level iterate vectors, the point evaluator of the scale search
+// (built once per solve), and the candidate scratch. One instance serves
+// one Params value; it is not safe for concurrent use.
 type innerState struct {
 	p *model.Params
 	L int
 
 	b, x, prevX, mu []float64
 
-	grid           *model.Slab // bound to the fixed scan grid
-	gridNs, gridG  []float64
-	loBits, hiBits uint64
-	gridOK         bool
-
-	pts  *model.Slab // midpoint/candidate evaluation slab
-	ptNs []float64
-	ptV  []float64
-
-	cand  []float64
-	lanes []bisectBracket
+	ev   *model.Evaluator
+	cand []float64
 }
 
 // newInnerState builds a workspace for p. vecs, when non-nil, provides the
@@ -50,14 +39,11 @@ func newInnerState(p *model.Params, vecs []float64) *innerState {
 	}
 	return &innerState{
 		p: p, L: L,
-		b:      vecs[0*L : 1*L],
-		x:      vecs[1*L : 2*L],
-		prevX:  vecs[2*L : 3*L],
-		mu:     vecs[3*L : 4*L],
-		grid:   p.NewSlab(scaleGridN + 1),
-		gridNs: make([]float64, scaleGridN+1),
-		gridG:  make([]float64, scaleGridN+1),
-		pts:    p.NewSlab(8),
+		b:     vecs[0*L : 1*L],
+		x:     vecs[1*L : 2*L],
+		prevX: vecs[2*L : 3*L],
+		mu:    vecs[3*L : 4*L],
+		ev:    p.NewEvaluator(),
 	}
 }
 
@@ -201,9 +187,9 @@ func (r *innerRun) step() bool {
 // until both stabilize. It returns the interval counts, the scale, and the
 // iterations used.
 //
-// The scale search runs on the batch kernels of model.Slab (bit-identical
-// to the scalar formulas; see internal/model/batch.go); pass
-// Options.NumericGradN for the scalar finite-difference ablation path.
+// The scale search evaluates through model.Evaluator, bit-identical to
+// Params.GradN and Params.WallClock; Options.NumericGradN switches it to
+// the finite-difference ablation.
 func SolveInner(p *model.Params, tEst, nInit float64, opts Options) ([]float64, float64, int, error) {
 	st := newInnerState(p, nil)
 	var r innerRun
@@ -214,26 +200,32 @@ func SolveInner(p *model.Params, tEst, nInit float64, opts Options) ([]float64, 
 }
 
 // solveScale finds the root of ∂E/∂N on [floor, ceiling] for the current
-// iterate: a gradient scan over the precomputed grid slab, a lockstep
-// bisection of every sign change, and a batched argmin over the candidate
-// optima. Results are bit-identical to the scalar scan this replaces (the
-// kernels reproduce Formula 24/21 exactly, and the bisection replicates
-// numopt.Bisect including its early-return and error semantics).
+// iterate with the point evaluator bound to it: the analytic Formula 24,
+// or its finite difference for Options.NumericGradN.
 func (st *innerState) solveScale(opts Options, ceiling float64) (float64, error) {
+	st.ev.Bind(st.x, st.b)
+	grad := st.ev.GradN
 	if opts.NumericGradN {
-		return solveScaleScalar(st.p, st.x, st.b, opts, ceiling)
+		grad = st.numericGradN
 	}
-	rec := obs.OrNop(opts.Obs)
-	lo := opts.ScaleFloor
-	hi := ceiling
-	st.ensureGrid(lo, hi)
-	st.grid.GradNFixedX(st.gridG, st.x, st.b)
+	return st.searchScale(grad, st.ev.WallClock, opts.ScaleFloor, ceiling, obs.OrNop(opts.Obs))
+}
 
-	// Candidate optima: the interval endpoints, every stationary point of
-	// the gradient, and any cost-saturation caps. A saturation kink can
-	// split the objective into two convex branches, each with its own
-	// stationary point, so a single bisection is not enough: scan a grid
-	// for every sign change and bisect each bracket, then take the argmin.
+// numericGradN is the finite-difference ablation of Formula 24: a central
+// difference of the bound E(T_w).
+func (st *innerState) numericGradN(n float64) float64 {
+	return numopt.DerivativeStep(st.ev.WallClock, n, math.Max(1, n*1e-6))
+}
+
+// searchScale minimizes the frozen-μ objective over [lo, hi] given its
+// N-gradient grad and value wallClock. The candidate optima are the
+// interval endpoints, every stationary point of the gradient, and any
+// cost-saturation caps: a saturation kink can split the objective into two
+// convex branches, each with its own stationary point, so a single
+// bisection is not enough. It scans grad on scaleGridN+1 equispaced points
+// for every sign change, bisects each bracket, and returns the candidate
+// with the least wallClock.
+func (st *innerState) searchScale(grad, wallClock numopt.Func, lo, hi float64, rec obs.Recorder) (float64, error) {
 	st.cand = append(st.cand[:0], lo, hi)
 	for _, lv := range st.p.Levels {
 		for _, cap := range [2]float64{lv.Checkpoint.Cap, lv.Recovery.Cap} {
@@ -242,182 +234,13 @@ func (st *innerState) solveScale(opts Options, ceiling float64) (float64, error)
 			}
 		}
 	}
-
-	st.lanes = st.lanes[:0]
-	gPrev := st.gridG[0]
-	if math.IsNaN(gPrev) || math.IsInf(gPrev, -1) {
-		// The gradient blew up at the floor where the objective is
-		// infinite; the objective always falls away from N = 0, so treat
-		// the floor gradient as negative.
-		gPrev = -1
-	}
-	for k := 1; k <= scaleGridN; k++ {
-		gCur := st.gridG[k]
-		if gPrev < 0 && gCur >= 0 {
-			st.lanes = append(st.lanes, bisectBracket{
-				a: st.gridNs[k-1], b: st.gridNs[k],
-				fa: st.gridG[k-1], fb: st.gridG[k],
-			})
-		}
-		gPrev = gCur
-	}
-	if len(st.lanes) > 0 {
-		st.bisectBrackets()
-	}
-	for i := range st.lanes {
-		br := &st.lanes[i]
-		if br.skip {
-			continue
-		}
-		if br.failed {
-			return 0, fmt.Errorf("%w: scale bisection: %v", ErrDiverged, numopt.ErrMaxIterations)
-		}
-		rec.Count("core.bisect.calls", 1)
-		rec.Count("core.bisect.iters", int64(br.iters))
-		st.cand = append(st.cand, br.root)
-	}
-
-	st.pts.SetScales(st.cand)
-	st.ptV = growFloats(st.ptV, len(st.cand))
-	e := st.ptV[:len(st.cand)]
-	st.pts.WallClockFixedX(e, st.x, st.b)
-	best, bestE := st.cand[0], math.Inf(1)
-	for i, n := range st.cand {
-		if e[i] < bestE {
-			best, bestE = n, e[i]
-		}
-	}
-	return best, nil
-}
-
-// ensureGrid (re)builds the scan grid for [lo, hi]. The grid is a pure
-// function of the interval, so in the common case (ScaleFloor and the
-// ceiling fixed for the life of a solve) the cost/speedup slabs are filled
-// exactly once per optimization.
-func (st *innerState) ensureGrid(lo, hi float64) {
-	lb, hb := math.Float64bits(lo), math.Float64bits(hi)
-	if st.gridOK && lb == st.loBits && hb == st.hiBits {
-		return
-	}
-	st.loBits, st.hiBits, st.gridOK = lb, hb, true
-	st.gridNs[0] = lo
-	for k := 1; k <= scaleGridN; k++ {
-		st.gridNs[k] = lo + (hi-lo)*float64(k)/scaleGridN
-	}
-	st.grid.SetScales(st.gridNs)
-}
-
-// bisectBracket is one sign-change bracket advanced by the lockstep
-// bisection: the live interval [a, b] with f(a), f(b), and the terminal
-// state mirroring numopt.RootResult.
-type bisectBracket struct {
-	a, b, fa, fb float64
-	mid          float64
-	root, froot  float64
-	iters        int
-	done         bool
-	skip         bool // endpoints do not bracket a sign change
-	failed       bool // iteration cap exceeded
-}
-
-// bisectBrackets drives every bracket to termination in lockstep,
-// replicating numopt.Bisect exactly: the same early returns on exact-zero
-// endpoints, the same sign-bit interval updates, and the same stopping
-// rule — but with each round's midpoint gradients evaluated in one batched
-// kernel call across all still-active brackets.
-func (st *innerState) bisectBrackets() {
-	const (
-		tol     = 1e-4
-		maxIter = 200
-	)
-	active := 0
-	for i := range st.lanes {
-		br := &st.lanes[i]
-		//lint:allow floateq replicates numopt.Bisect's exact-zero endpoint early-returns bit for bit
-		switch {
-		case br.fa == 0:
-			br.root, br.froot, br.done = br.a, 0, true
-		case br.fb == 0:
-			br.root, br.froot, br.done = br.b, 0, true
-		case math.Signbit(br.fa) == math.Signbit(br.fb):
-			br.skip, br.done = true, true
-		default:
-			active++
-		}
-	}
-	st.ptNs = growFloats(st.ptNs, len(st.lanes))
-	st.ptV = growFloats(st.ptV, len(st.lanes))
-	for i := 0; i < maxIter && active > 0; i++ {
-		mids := st.ptNs[:0]
-		for li := range st.lanes {
-			br := &st.lanes[li]
-			if br.done {
-				continue
-			}
-			br.mid = br.a + (br.b-br.a)/2
-			mids = append(mids, br.mid)
-		}
-		st.pts.SetScales(mids)
-		fms := st.ptV[:len(mids)]
-		st.pts.GradNFixedX(fms, st.x, st.b)
-		j := 0
-		for li := range st.lanes {
-			br := &st.lanes[li]
-			if br.done {
-				continue
-			}
-			fm := fms[j]
-			j++
-			//lint:allow floateq replicates numopt.Bisect's exact-zero midpoint stop bit for bit
-			if fm == 0 || (br.b-br.a)/2 < tol {
-				br.root, br.froot, br.iters, br.done = br.mid, fm, i+1, true
-				active--
-				continue
-			}
-			if math.Signbit(fm) == math.Signbit(br.fa) {
-				br.a, br.fa = br.mid, fm
-			} else {
-				br.b = br.mid
-			}
-		}
-	}
-	for li := range st.lanes {
-		if br := &st.lanes[li]; !br.done {
-			br.failed, br.done = true, true
-		}
-	}
-}
-
-// solveScaleScalar is the original scalar scan, kept for the
-// finite-difference ablation (Options.NumericGradN) and as the reference
-// the batched solveScale is differentially tested against.
-func solveScaleScalar(p *model.Params, x, b []float64, opts Options, ceiling float64) (float64, error) {
-	rec := obs.OrNop(opts.Obs)
-	grad := func(n float64) float64 {
-		if opts.NumericGradN {
-			f := func(v float64) float64 {
-				return p.WallClock(x, v, muAt(b, v))
-			}
-			return numopt.DerivativeStep(f, n, math.Max(1, n*1e-6))
-		}
-		return p.GradN(x, n, b)
-	}
-	lo := opts.ScaleFloor
-	hi := ceiling
-	candidates := []float64{lo, hi}
-	for _, lv := range p.Levels {
-		for _, cap := range []float64{lv.Checkpoint.Cap, lv.Recovery.Cap} {
-			if cap > lo && cap < hi {
-				candidates = append(candidates, cap)
-			}
-		}
-	}
 	prev := lo
 	gPrev := grad(lo)
 	if math.IsNaN(gPrev) || math.IsInf(gPrev, -1) {
-		// The finite-difference stencil stepped below the floor where the
-		// objective is infinite; the objective always falls away from
-		// N = 0, so treat the floor gradient as negative.
+		// The gradient blew up at the floor where the objective is
+		// infinite (or the finite-difference stencil stepped below it);
+		// the objective always falls away from N = 0, so treat the floor
+		// gradient as negative.
 		gPrev = -1
 	}
 	for k := 1; k <= scaleGridN; k++ {
@@ -432,26 +255,20 @@ func solveScaleScalar(p *model.Params, x, b []float64, opts Options, ceiling flo
 			if err == nil {
 				rec.Count("core.bisect.calls", 1)
 				rec.Count("core.bisect.iters", int64(res.Iterations))
-				candidates = append(candidates, res.Root)
+				st.cand = append(st.cand, res.Root)
 			} else if !errors.Is(err, numopt.ErrNoBracket) {
 				return 0, fmt.Errorf("%w: scale bisection: %v", ErrDiverged, err)
 			}
 		}
 		prev, gPrev = cur, gCur
 	}
-	best, bestE := candidates[0], math.Inf(1)
-	for _, n := range candidates {
-		if e := p.WallClock(x, n, muAt(b, n)); e < bestE {
+	best, bestE := st.cand[0], math.Inf(1)
+	for _, n := range st.cand {
+		if e := wallClock(n); e < bestE {
 			best, bestE = n, e
 		}
 	}
 	return best, nil
-}
-
-func muAt(b []float64, n float64) []float64 {
-	mu := make([]float64, len(b))
-	muInto(mu, b, n)
-	return mu
 }
 
 // muInto fills mu_i = b_i·N without allocating.
@@ -461,13 +278,4 @@ func muInto(dst, b []float64, n float64) {
 	for i := range b {
 		dst[i] = b[i] * n
 	}
-}
-
-// growFloats returns buf with capacity for at least n elements, preserving
-// nothing (pure scratch).
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }

@@ -85,6 +85,26 @@ func (p *Params) BOfT(wallClockSec float64) []float64 {
 	return b
 }
 
+// MuOfNInto is the allocation-free MuOfN: it fills dst (length L) with
+// μ_i(N) = λ_i(N)·T.
+//
+//mlckpt:hotpath
+func (p *Params) MuOfNInto(dst []float64, n, wallClockSec float64) {
+	for i := range dst {
+		dst[i] = p.Rates.ExpectedFailures(i, n, wallClockSec)
+	}
+}
+
+// BOfTInto is the allocation-free BOfT: it fills dst (length L) with
+// b_i = λ_i(1)·T.
+//
+//mlckpt:hotpath
+func (p *Params) BOfTInto(dst []float64, wallClockSec float64) {
+	for i := range dst {
+		dst[i] = p.Rates.PerSecondAt(i, 1) * wallClockSec
+	}
+}
+
 // ExpectedRollback returns E(Γ_ij), the expected per-failure rollback loss
 // at level i (0-indexed), Formula (18):
 //
