@@ -14,7 +14,11 @@ build:
 # (seedflow), fiber-blocking reachability (batonblock), and hot-path
 # allocation idioms (hotpath). allocgate is the compiler-verified half of
 # the //mlckpt:hotpath contract (escape analysis vs allocgate.baseline).
+# The gofmt gate lists tracked files only, so build and benchmark
+# leftovers (perfbench/.cache) stay out of it.
 test:
+	@files=$$(git ls-files '*.go') && unformatted=$$(gofmt -l $$files) && \
+		if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/mlckptlint ./...
 	$(GO) run ./cmd/allocgate

@@ -196,9 +196,8 @@ func evalGridProblems(b *testing.B) []core.Problem {
 	return problems
 }
 
-// BenchmarkOptimizeBatch measures the batched Algorithm 1 surface on the
-// evaluation grid: one lockstep core.OptimizeBatch call over its 24
-// problems.
+// BenchmarkOptimizeBatch measures Algorithm 1 on the evaluation grid: one
+// core.OptimizeBatch call over its 24 problems.
 func BenchmarkOptimizeBatch(b *testing.B) {
 	problems := evalGridProblems(b)
 	b.ResetTimer()
@@ -206,21 +205,6 @@ func BenchmarkOptimizeBatch(b *testing.B) {
 		for _, out := range core.OptimizeBatch(problems) {
 			if out.Err != nil {
 				b.Fatal(out.Err)
-			}
-		}
-	}
-}
-
-// BenchmarkOptimizeLoop solves the same 24 problems as
-// BenchmarkOptimizeBatch with a loop of core.Optimize, so the pair measures
-// what the lockstep batch buys over sequential solves.
-func BenchmarkOptimizeLoop(b *testing.B) {
-	problems := evalGridProblems(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, pr := range problems {
-			if _, err := core.Optimize(pr.Params, pr.Opts); err != nil {
-				b.Fatal(err)
 			}
 		}
 	}

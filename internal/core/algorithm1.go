@@ -8,205 +8,134 @@ import (
 	"mlckpt/internal/obs"
 )
 
-// optRun is one resumable Algorithm 1 execution: init validates and seeds
-// the μ estimate, outerStepBegin starts an inner solve, and
-// outerStepFinish performs the wall-clock/μ refresh and convergence test.
-// Optimize drives one run to completion; OptimizeBatch interleaves many,
-// so every lane's inner solves advance in lockstep.
-type optRun struct {
-	p     *model.Params
-	opts  Options
-	rec   obs.Recorder
-	track string
-
-	st  *innerState
-	run innerRun
-
-	n, tEst          float64
-	mu, muStar, muNu []float64
-
-	aitken  [3]float64 // trailing wall-clock estimates for Δ² extrapolation
-	nAitken int
-
-	sol   Solution
-	outer int
-	done  bool
-	err   error
-}
-
-// init validates the problem and seeds Algorithm 1 lines 1–3: μ_i from the
-// failure-free productive time at the starting scale (the ideal scale,
-// capped by the machine size, or the pinned one). vecs, when non-nil,
-// provides arena backing for the solver scratch (7·L floats).
-func (o *optRun) init(p *model.Params, opts Options, vecs []float64) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	o.p = p
-	o.opts = opts.withDefaults()
-	// Telemetry: the track's time axis is cumulative inner iterations —
-	// a virtual clock measuring solver effort, deterministic across runs.
-	o.rec = obs.OrNop(o.opts.Obs)
-	o.track = o.opts.ObsLabel
-	if o.track == "" {
-		o.track = "optimize"
-	}
-	o.rec.Count("core.optimize.solves", 1)
-
-	L := p.L()
-	if vecs == nil {
-		vecs = make([]float64, optRunVecs*L)
-	}
-	o.st = newInnerState(p, vecs[:4*L])
-	o.mu = vecs[4*L : 5*L]
-	o.muStar = vecs[5*L : 6*L]
-	o.muNu = vecs[6*L : 7*L]
-
-	n := p.Speedup.IdealScale()
-	if o.opts.MaxScale > 0 && o.opts.MaxScale < n {
-		n = o.opts.MaxScale
-	}
-	if o.opts.FixedN > 0 {
-		n = o.opts.FixedN
-	}
-	o.n = n
-	o.tEst = p.ProductiveTime(n)
-	if math.IsInf(o.tEst, 0) || o.tEst <= 0 {
-		return fmt.Errorf("%w: productive time %g at N=%g", ErrDiverged, o.tEst, n)
-	}
-	p.MuOfNInto(o.mu, n, o.tEst)
-	return nil
-}
-
-// optRunVecs is the per-level float count of an optRun's arena: four inner
-// iterate vectors plus the three μ buffers.
-const optRunVecs = 7
-
-// outerStepBegin starts the inner convex solve of the next outer step
-// (line 5) under μ_i(N) = b_i·N.
-func (o *optRun) outerStepBegin() {
-	o.outer++
-	o.run.start(o.st, o.tEst, o.n, o.opts)
-}
-
-// outerStepFinish consumes a finished inner run: the expected-wall-clock
-// evaluation (line 6), the μ refresh (lines 7–10), and the convergence
-// test (line 11). It sets done (and err) when the run terminates.
-func (o *optRun) outerStepFinish() {
-	p := o.p
-	innerIters := o.run.iter
-	o.sol.InnerIterations += innerIters
-	if o.run.err != nil {
-		o.err = o.run.err
-		o.done = true
-		return
-	}
-	o.n = o.run.n
-	n := o.n
-	x := o.st.x
-
-	// Line 6: expected wall clock under the solved (x, N).
-	p.MuOfNInto(o.muStar, n, o.tEst)
-	wct := p.WallClock(x, n, o.muStar)
-	if math.IsNaN(wct) || math.IsInf(wct, 0) || wct <= 0 {
-		o.rec.Count("core.optimize.diverged", 1)
-		o.err = fmt.Errorf("%w: wall clock %g at outer step %d", ErrDiverged, wct, o.outer)
-		o.done = true
-		return
-	}
-	if o.opts.Damping > 0 {
-		wct = (1-o.opts.Damping)*wct + o.opts.Damping*o.tEst
-	}
-	if o.opts.Accelerate {
-		o.aitken[o.nAitken] = wct
-		o.nAitken++
-		if o.nAitken == 3 {
-			d0 := o.aitken[1] - o.aitken[0]
-			d1 := o.aitken[2] - o.aitken[1]
-			den := d1 - d0
-			if math.Abs(den) > 1e-12*math.Abs(o.aitken[2]) {
-				if acc := o.aitken[2] - d1*d1/den; acc > 0 && !math.IsNaN(acc) && !math.IsInf(acc, 0) {
-					wct = acc
-				}
-			}
-			o.nAitken = 0
-		}
-	}
-
-	// Lines 7–10: refresh μ from the new wall clock.
-	p.MuOfNInto(o.muNu, n, wct)
-	delta := 0.0
-	for i := range o.mu {
-		if d := math.Abs(o.muNu[i] - o.mu[i]); d > delta {
-			delta = d
-		}
-	}
-	o.sol.History = append(o.sol.History, OuterStep{
-		Mu: append([]float64(nil), o.mu...), N: n, WallClock: wct, MuDelta: delta,
-	})
-	if o.rec != obs.Nop() {
-		args := map[string]float64{
-			"n": n, "wct_s": wct, "mu_delta": delta, "inner_iters": float64(innerIters),
-		}
-		for i := range o.muNu {
-			args[fmt.Sprintf("mu_%d", i+1)] = o.muNu[i]
-			args[fmt.Sprintf("x_%d", i+1)] = x[i]
-		}
-		o.rec.Span(o.track, fmt.Sprintf("outer-%d", o.outer),
-			float64(o.sol.InnerIterations-innerIters), float64(innerIters), args)
-	}
-	o.mu, o.muNu = o.muNu, o.mu
-	o.tEst = wct
-	o.sol.X = append(o.sol.X[:0], x...)
-	o.sol.N, o.sol.WallClock = n, wct
-	o.sol.Mu = append(o.sol.Mu[:0], o.mu...)
-	o.sol.OuterIterations = o.outer
-
-	// Divergence guard: μ exploding beyond any physical regime means
-	// the failure rates outpace progress (Section III-D's caveat).
-	if delta > 1e12 {
-		o.rec.Count("core.optimize.diverged", 1)
-		o.err = fmt.Errorf("%w: μ delta %g at outer step %d", ErrDiverged, delta, o.outer)
-		o.done = true
-		return
-	}
-	// Line 11: convergence on the failure counts.
-	if delta <= o.opts.OuterTol {
-		o.sol.Converged = true
-		finishOptimizeObs(o.rec, o.track, o.sol, true)
-		o.done = true
-		return
-	}
-	if o.opts.SinglePass {
-		// Classic Young: no refresh loop; keep the first-pass answer.
-		finishOptimizeObs(o.rec, o.track, o.sol, false)
-		o.done = true
-		return
-	}
-	if o.outer >= o.opts.OuterMaxIter {
-		o.rec.Count("core.optimize.no_converge", 1)
-		o.err = fmt.Errorf("%w: Algorithm 1 after %d outer iterations", ErrNoConverge, o.opts.OuterMaxIter)
-		o.done = true
-	}
-}
-
 // Optimize runs Algorithm 1: it initializes the expected failure counts
 // from the failure-free productive time (lines 1–3), then alternates the
 // inner convex solve with a refresh of the expected failure counts from
 // the new expected wall-clock length (lines 4–11) until
 // max_i |μ'_i − μ_i| ≤ δ.
 func Optimize(p *model.Params, opts Options) (Solution, error) {
-	var o optRun
-	if err := o.init(p, opts, nil); err != nil {
+	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
-	for !o.done {
-		o.outerStepBegin()
-		for !o.run.step() {
-		}
-		o.outerStepFinish()
+	opts = opts.withDefaults()
+	// Telemetry: the track's time axis is cumulative inner iterations —
+	// a virtual clock measuring solver effort, deterministic across runs.
+	rec := obs.OrNop(opts.Obs)
+	track := opts.ObsLabel
+	if track == "" {
+		track = "optimize"
 	}
-	return o.sol, o.err
+	rec.Count("core.optimize.solves", 1)
+
+	// Lines 1–3: μ_i from the failure-free productive time at the starting
+	// scale (the ideal scale, capped by the machine size, or the pinned
+	// one).
+	st := newInnerState(p)
+	mu, muStar, muNu := st.outer[0], st.outer[1], st.outer[2]
+	n := p.Speedup.IdealScale()
+	if opts.MaxScale > 0 && opts.MaxScale < n {
+		n = opts.MaxScale
+	}
+	if opts.FixedN > 0 {
+		n = opts.FixedN
+	}
+	tEst := p.ProductiveTime(n)
+	if math.IsInf(tEst, 0) || tEst <= 0 {
+		return Solution{}, fmt.Errorf("%w: productive time %g at N=%g", ErrDiverged, tEst, n)
+	}
+	p.MuOfNInto(mu, n, tEst)
+
+	var sol Solution
+	var aitken [3]float64 // trailing wall-clock estimates for Δ² extrapolation
+	nAitken := 0
+	for outer := 1; ; outer++ {
+		// Line 5: the inner convex solve under μ_i(N) = b_i·N.
+		var innerIters int
+		var err error
+		n, innerIters, err = st.solve(tEst, n, opts)
+		sol.InnerIterations += innerIters
+		if err != nil {
+			return sol, err
+		}
+		x := st.x
+
+		// Line 6: expected wall clock under the solved (x, N).
+		p.MuOfNInto(muStar, n, tEst)
+		wct := p.WallClock(x, n, muStar)
+		if math.IsNaN(wct) || math.IsInf(wct, 0) || wct <= 0 {
+			rec.Count("core.optimize.diverged", 1)
+			return sol, fmt.Errorf("%w: wall clock %g at outer step %d", ErrDiverged, wct, outer)
+		}
+		if opts.Damping > 0 {
+			wct = (1-opts.Damping)*wct + opts.Damping*tEst
+		}
+		if opts.Accelerate {
+			aitken[nAitken] = wct
+			nAitken++
+			if nAitken == 3 {
+				d0 := aitken[1] - aitken[0]
+				d1 := aitken[2] - aitken[1]
+				den := d1 - d0
+				if math.Abs(den) > 1e-12*math.Abs(aitken[2]) {
+					if acc := aitken[2] - d1*d1/den; acc > 0 && !math.IsNaN(acc) && !math.IsInf(acc, 0) {
+						wct = acc
+					}
+				}
+				nAitken = 0
+			}
+		}
+
+		// Lines 7–10: refresh μ from the new wall clock.
+		p.MuOfNInto(muNu, n, wct)
+		delta := 0.0
+		for i := range mu {
+			if d := math.Abs(muNu[i] - mu[i]); d > delta {
+				delta = d
+			}
+		}
+		sol.History = append(sol.History, OuterStep{
+			Mu: append([]float64(nil), mu...), N: n, WallClock: wct, MuDelta: delta,
+		})
+		if rec != obs.Nop() {
+			args := map[string]float64{
+				"n": n, "wct_s": wct, "mu_delta": delta, "inner_iters": float64(innerIters),
+			}
+			for i := range muNu {
+				args[fmt.Sprintf("mu_%d", i+1)] = muNu[i]
+				args[fmt.Sprintf("x_%d", i+1)] = x[i]
+			}
+			rec.Span(track, fmt.Sprintf("outer-%d", outer),
+				float64(sol.InnerIterations-innerIters), float64(innerIters), args)
+		}
+		mu, muNu = muNu, mu
+		tEst = wct
+		sol.X = append(sol.X[:0], x...)
+		sol.N, sol.WallClock = n, wct
+		sol.Mu = append(sol.Mu[:0], mu...)
+		sol.OuterIterations = outer
+
+		// Divergence guard: μ exploding beyond any physical regime means
+		// the failure rates outpace progress (Section III-D's caveat).
+		if delta > 1e12 {
+			rec.Count("core.optimize.diverged", 1)
+			return sol, fmt.Errorf("%w: μ delta %g at outer step %d", ErrDiverged, delta, outer)
+		}
+		// Line 11: convergence on the failure counts.
+		if delta <= opts.OuterTol {
+			sol.Converged = true
+			finishOptimizeObs(rec, track, sol, true)
+			return sol, nil
+		}
+		if opts.SinglePass {
+			// Classic Young: no refresh loop; keep the first-pass answer.
+			finishOptimizeObs(rec, track, sol, false)
+			return sol, nil
+		}
+		if outer >= opts.OuterMaxIter {
+			rec.Count("core.optimize.no_converge", 1)
+			return sol, fmt.Errorf("%w: Algorithm 1 after %d outer iterations", ErrNoConverge, opts.OuterMaxIter)
+		}
+	}
 }
 
 // finishOptimizeObs records the end-of-solve telemetry: iteration-count

@@ -14,9 +14,9 @@ import (
 )
 
 // batchSpecs builds a spread of problem instances across failure regimes,
-// level counts, speedup kinds, and option variants — wide enough that the
-// lockstep path exercises damping, caps, FixedN, SinglePass, and both
-// convergent and hard instances.
+// level counts, speedup kinds, and option variants — wide enough to
+// exercise damping, caps, FixedN, SinglePass, and both convergent and hard
+// instances.
 func batchSpecs() []Problem {
 	rng := rand.New(rand.NewSource(11))
 	var out []Problem
@@ -66,8 +66,8 @@ func batchSpecs() []Problem {
 			Opts: Options{},
 		})
 	}
-	// An invalid lane: the batch must report the error without poisoning
-	// its neighbors.
+	// An invalid problem: the batch must report its error without
+	// poisoning its neighbors.
 	out = append(out, Problem{Params: &model.Params{}, Opts: Options{}})
 	return out
 }
@@ -113,9 +113,9 @@ func solutionsEqual(t *testing.T, lane int, got, want Solution) {
 	}
 }
 
-// TestOptimizeBatchMatchesSequential is the batched-solver oracle contract:
-// OptimizeBatch must reproduce a sequential Optimize loop bit for bit —
-// solutions, histories, iteration counts, and errors alike.
+// TestOptimizeBatchMatchesSequential: OptimizeBatch must reproduce a
+// sequential Optimize loop bit for bit — solutions, histories, iteration
+// counts, and errors alike.
 func TestOptimizeBatchMatchesSequential(t *testing.T) {
 	problems := batchSpecs()
 	got := OptimizeBatch(problems)
@@ -138,7 +138,7 @@ func TestOptimizeBatchMatchesSequential(t *testing.T) {
 }
 
 // TestOptimizeBatchObsMatchesSequential pins the telemetry contract: a
-// batched solve must emit exactly the counters a sequential loop emits.
+// batched solve must emit exactly the telemetry a sequential loop emits.
 func TestOptimizeBatchObsMatchesSequential(t *testing.T) {
 	problems := batchSpecs()
 	run := func(batch bool) *obs.Collector {
@@ -206,12 +206,12 @@ func TestSolveScaleMatchesScalarReference(t *testing.T) {
 			x[i] = 1 + rng.Float64()*500
 			b[i] = rng.Float64() * 2e-6
 		}
-		st := newInnerState(p, nil)
+		st := newInnerState(p)
 		copy(st.x, x)
 		copy(st.b, b)
 		nEval, errEval := st.solveScale(opts, ceiling)
 
-		ref := newInnerState(p, nil)
+		ref := newInnerState(p)
 		nRef, errRef := ref.searchScale(
 			func(n float64) float64 { return p.GradN(x, n, b) },
 			func(n float64) float64 { return p.WallClock(x, n, scaledB(b, n)) },
@@ -291,7 +291,7 @@ func TestOptimizeSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Arena and evaluator construction, Solution buffers, and one History
+	// Slab and evaluator construction, Solution buffers, and one History
 	// record per outer step remain (46 on this problem's 28 outer steps);
 	// the scale search itself allocates nothing.
 	if avg > 50 {

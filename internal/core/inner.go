@@ -15,164 +15,43 @@ import (
 // every sign change is bisected.
 const scaleGridN = 64
 
-// innerState is the reusable workspace of one inner solver instance: the
-// per-level iterate vectors, the point evaluator of the scale search
-// (built once per solve), and the candidate scratch. One instance serves
-// one Params value; it is not safe for concurrent use.
+// innerState is the workspace of one Algorithm 1 solve: the per-level
+// vectors of the inner iterate and of the outer μ refresh, carved from one
+// slab, the point evaluator of the scale search (built once per solve),
+// and the candidate scratch. One instance serves one Params value; it is
+// not safe for concurrent use.
 type innerState struct {
 	p *model.Params
 	L int
 
 	b, x, prevX, mu []float64
+	// outer holds Algorithm 1's μ buffers: the current estimate, μ at the
+	// solved scale (line 6), and the refreshed estimate (lines 7–10).
+	outer [3][]float64
 
 	ev   *model.Evaluator
 	cand []float64
 }
 
-// newInnerState builds a workspace for p. vecs, when non-nil, provides the
-// backing for the four per-level vectors (len >= 4·L) so batched solvers
-// can arena-allocate the scratch of many lanes in one slab.
-func newInnerState(p *model.Params, vecs []float64) *innerState {
+// newInnerState builds a workspace for p.
+func newInnerState(p *model.Params) *innerState {
 	L := p.L()
-	if vecs == nil {
-		vecs = make([]float64, 4*L)
-	}
+	vecs := make([]float64, 7*L)
 	return &innerState{
 		p: p, L: L,
 		b:     vecs[0*L : 1*L],
 		x:     vecs[1*L : 2*L],
 		prevX: vecs[2*L : 3*L],
 		mu:    vecs[3*L : 4*L],
+		outer: [3][]float64{vecs[4*L : 5*L], vecs[5*L : 6*L], vecs[6*L : 7*L]},
 		ev:    p.NewEvaluator(),
 	}
 }
 
-// innerRun is one resumable inner solve over an innerState: start seeds the
-// iterate, step advances exactly one fixed-point iteration. SolveInner runs
-// one to completion; the batched solvers advance many in lockstep.
-type innerRun struct {
-	st      *innerState
-	opts    Options
-	ceiling float64
-	n       float64
-	iter    int
-	done    bool
-	err     error
-}
-
-// start seeds the run: the μ_i(N) = b_i·N coefficients from the wall-clock
-// estimate, the starting scale, and the Young initialization (Formula 25).
-func (r *innerRun) start(st *innerState, tEst, nInit float64, opts Options) {
-	r.st = st
-	r.opts = opts.withDefaults()
-	r.iter = 0
-	r.done = false
-	r.err = nil
-	p := st.p
-	p.BOfTInto(st.b, tEst)
-
-	n := nInit
-	ceiling := p.Speedup.IdealScale()
-	if r.opts.MaxScale > 0 && r.opts.MaxScale < ceiling {
-		ceiling = r.opts.MaxScale
-	}
-	if r.opts.FixedN > 0 {
-		n = r.opts.FixedN
-	}
-	if n <= 0 || n > ceiling {
-		n = ceiling
-	}
-	r.ceiling = ceiling
-	r.n = n
-
-	muInto(st.mu, st.b, n)
-	for i := range st.x {
-		st.x[i] = p.YoungX(n, st.mu, i)
-	}
-}
-
-// step advances one fixed-point iteration: the Gauss–Seidel interval sweep
-// and the scale update, with the convergence test against the previous
-// iterate. It reports whether the run finished (converged, errored, or hit
-// the iteration cap).
-func (r *innerRun) step() bool {
-	if r.done {
-		return true
-	}
-	st := r.st
-	p, L := st.p, st.L
-	r.iter++
-	iter := r.iter
-
-	copy(st.prevX, st.x)
-	prevN := r.n
-	// High failure rates couple x and N strongly enough that the bare
-	// alternation can contract very slowly; once it has clearly not
-	// converged quickly, blend each update with the previous iterate.
-	damp := 0.0
-	if iter > 50 {
-		damp = 0.5
-	}
-
-	n := r.n
-	muInto(st.mu, st.b, n)
-	x, mu := st.x, st.mu
-	pt := p.ProductiveTime(n)
-	// Interval sweep, lowest level first so the Σ_{j<i}C_j·x_j prefix
-	// uses current-iteration values (Gauss–Seidel style, which
-	// converges in fewer sweeps than Jacobi here).
-	for i := 0; i < L; i++ {
-		ci := p.Levels[i].Checkpoint.At(n)
-		if ci <= 0 || mu[i] <= 0 {
-			x[i] = 1
-			continue
-		}
-		prefix := pt
-		for j := 0; j < i; j++ {
-			prefix += p.Levels[j].Checkpoint.At(n) * x[j]
-		}
-		suffix := 0.0
-		for j := i + 1; j < L; j++ {
-			suffix += mu[j] / x[j]
-		}
-		v := math.Sqrt(mu[i] * prefix / (2 * ci * (1 + suffix/2)))
-		if v < 1 || math.IsNaN(v) {
-			v = 1
-		}
-		x[i] = (1-damp)*v + damp*x[i]
-	}
-
-	if r.opts.FixedN <= 0 {
-		nNew, err := st.solveScale(r.opts, r.ceiling)
-		if err != nil {
-			r.err = err
-			r.done = true
-			return true
-		}
-		r.n = (1-damp)*nNew + damp*r.n
-	}
-
-	worst := math.Abs(r.n-prevN) / (1 + math.Abs(prevN))
-	for i := range x {
-		if d := math.Abs(x[i]-st.prevX[i]) / (1 + math.Abs(st.prevX[i])); d > worst {
-			worst = d
-		}
-	}
-	if worst <= r.opts.InnerTol {
-		r.done = true
-		return true
-	}
-	if iter >= r.opts.InnerMaxIter {
-		r.err = fmt.Errorf("%w: inner solve after %d iterations", ErrNoConverge, r.opts.InnerMaxIter)
-		r.done = true
-		return true
-	}
-	return false
-}
-
-// SolveInner performs the inner convex solve of Algorithm 1 (line 5): with
-// the expected failure counts frozen as μ_i(N) = b_i·N (b_i derived from
-// the wall-clock estimate tEst), it alternates
+// solve performs the inner convex solve of Algorithm 1 (line 5): with the
+// expected failure counts frozen as μ_i(N) = b_i·N (b_i derived from the
+// wall-clock estimate tEst), it starts from Young's intervals (Formula 25)
+// at nInit and alternates
 //
 //   - per-level interval updates from the stationarity condition of
 //     Formula (23):
@@ -184,19 +63,91 @@ func (r *innerRun) step() bool {
 //     paper's single bisection; if the derivative is still negative at
 //     N^(*), the optimum is N^(*) itself (the "very few failures" case).
 //
-// until both stabilize. It returns the interval counts, the scale, and the
-// iterations used.
+// until both stabilize. It leaves the interval counts in st.x and returns
+// the scale and the iterations used. opts must carry its defaults.
 //
 // The scale search evaluates through model.Evaluator, bit-identical to
 // Params.GradN and Params.WallClock; Options.NumericGradN switches it to
 // the finite-difference ablation.
-func SolveInner(p *model.Params, tEst, nInit float64, opts Options) ([]float64, float64, int, error) {
-	st := newInnerState(p, nil)
-	var r innerRun
-	r.start(st, tEst, nInit, opts)
-	for !r.step() {
+func (st *innerState) solve(tEst, nInit float64, opts Options) (float64, int, error) {
+	p, L := st.p, st.L
+	p.BOfTInto(st.b, tEst)
+
+	n := nInit
+	ceiling := p.Speedup.IdealScale()
+	if opts.MaxScale > 0 && opts.MaxScale < ceiling {
+		ceiling = opts.MaxScale
 	}
-	return append([]float64(nil), st.x...), r.n, r.iter, r.err
+	if opts.FixedN > 0 {
+		n = opts.FixedN
+	}
+	if n <= 0 || n > ceiling {
+		n = ceiling
+	}
+	x, mu := st.x, st.mu
+	muInto(mu, st.b, n)
+	for i := range x {
+		x[i] = p.YoungX(n, mu, i)
+	}
+
+	for iter := 1; ; iter++ {
+		copy(st.prevX, x)
+		prevN := n
+		// High failure rates couple x and N strongly enough that the bare
+		// alternation can contract very slowly; once it has clearly not
+		// converged quickly, blend each update with the previous iterate.
+		damp := 0.0
+		if iter > 50 {
+			damp = 0.5
+		}
+
+		muInto(mu, st.b, n)
+		pt := p.ProductiveTime(n)
+		// Interval sweep, lowest level first so the Σ_{j<i}C_j·x_j prefix
+		// uses current-iteration values (Gauss–Seidel style, which
+		// converges in fewer sweeps than Jacobi here).
+		for i := 0; i < L; i++ {
+			ci := p.Levels[i].Checkpoint.At(n)
+			if ci <= 0 || mu[i] <= 0 {
+				x[i] = 1
+				continue
+			}
+			prefix := pt
+			for j := 0; j < i; j++ {
+				prefix += p.Levels[j].Checkpoint.At(n) * x[j]
+			}
+			suffix := 0.0
+			for j := i + 1; j < L; j++ {
+				suffix += mu[j] / x[j]
+			}
+			v := math.Sqrt(mu[i] * prefix / (2 * ci * (1 + suffix/2)))
+			if v < 1 || math.IsNaN(v) {
+				v = 1
+			}
+			x[i] = (1-damp)*v + damp*x[i]
+		}
+
+		if opts.FixedN <= 0 {
+			nNew, err := st.solveScale(opts, ceiling)
+			if err != nil {
+				return n, iter, err
+			}
+			n = (1-damp)*nNew + damp*n
+		}
+
+		worst := math.Abs(n-prevN) / (1 + math.Abs(prevN))
+		for i := range x {
+			if d := math.Abs(x[i]-st.prevX[i]) / (1 + math.Abs(st.prevX[i])); d > worst {
+				worst = d
+			}
+		}
+		if worst <= opts.InnerTol {
+			return n, iter, nil
+		}
+		if iter >= opts.InnerMaxIter {
+			return n, iter, fmt.Errorf("%w: inner solve after %d iterations", ErrNoConverge, opts.InnerMaxIter)
+		}
+	}
 }
 
 // solveScale finds the root of ∂E/∂N on [floor, ceiling] for the current

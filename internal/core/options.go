@@ -7,10 +7,10 @@
 //   - Optimize: Algorithm 1 — the outer loop that alternates between a
 //     convex inner solve (with expected failure counts frozen as μ_i(N) =
 //     b_i·N) and a refresh of those counts from the new expected wall
-//     clock, until the μ_i converge.
-//   - SolveInner: the inner convex solve — fixed-point iteration on the
-//     first-order conditions (Formulas 23/24), initialized by Young's
-//     formula (Formula 25), with N found by bisection on [1, N^(*)].
+//     clock, until the μ_i converge. The inner solve is a fixed-point
+//     iteration on the first-order conditions (Formulas 23/24),
+//     initialized by Young's formula (Formula 25), with N found by
+//     bisection on [1, N^(*)].
 //   - SolveSingleLevelLinear: the closed forms (Formulas 10/11).
 //   - SolveSingleLevelFixedB: the single-level nonlinear iteration
 //     (Formulas 16/17) at a fixed failure coefficient b, used to reproduce

@@ -59,11 +59,10 @@ func (p Policy) Solve(prm *model.Params, opts Options) (Solution, error) {
 	return Optimize(prob.Params, prob.Opts)
 }
 
-// BatchProblem maps (params, policy, options) onto the exact Optimize lane
-// that Solve would run — the single-level collapse, the scale pinning, and
-// the single-pass flag — so grid drivers can gather many policy cells into
-// one OptimizeBatch call. Solve is equivalent to Optimize on the returned
-// problem.
+// BatchProblem maps (params, policy, options) onto the exact Optimize call
+// that Solve would make — the single-level collapse, the scale pinning,
+// and the single-pass flag. Solve is equivalent to Optimize on the
+// returned problem.
 func (p Policy) BatchProblem(prm *model.Params, opts Options) (Problem, error) {
 	if err := prm.Validate(); err != nil {
 		return Problem{}, err

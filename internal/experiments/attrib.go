@@ -206,15 +206,3 @@ func (r AttribResult) Render() string {
 	}
 	return t.String()
 }
-
-// MaxModelDelta is the grid's worst per-portion model discrepancy over the
-// cells whose Formula 21 fixed point exists.
-func (r AttribResult) MaxModelDelta() float64 {
-	max := 0.0
-	for _, c := range r.Cells {
-		if c.ModelOK && c.Model.MaxAbsDelta > max {
-			max = c.Model.MaxAbsDelta
-		}
-	}
-	return max
-}

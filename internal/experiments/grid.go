@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"mlckpt/internal/core"
 	"mlckpt/internal/obs"
@@ -84,89 +83,13 @@ type solvedCell struct {
 	X        []float64
 }
 
-// batchSolves is the lazily-fired batched Algorithm 1 phase of one RunGrid
-// call: one core.OptimizeBatch lane per distinct solve key that the cache
-// cannot already answer. The batch runs at most once, triggered by the
-// first cell whose Solve stage actually computes, so the sweep engine's
-// cache and telemetry contract is untouched — each distinct key still
-// reports exactly one computed solve, duplicate cells still hit the cache,
-// and a fully warmed cache fires no batch at all. Lane results are
-// bit-identical to sequential Policy.Solve calls (the OptimizeBatch
-// contract), so routing a grid through here changes wall-clock cost, never
-// bytes.
-type batchSolves struct {
-	once     sync.Once
-	lane     map[string]int // solve key → index into problems/cells/outs
-	problems []core.Problem
-	cells    []Cell // representative cell per lane, for ExpandX
-	outs     []core.Outcome
-}
-
-// add registers a lane for key unless one exists or the cache already
-// holds a completed answer.
-func (b *batchSolves) add(key, track string, c Cell, cache *sweep.Cache, rec obs.Recorder) error {
-	if _, ok := b.lane[key]; ok {
-		return nil
-	}
-	if _, _, ok := cache.Lookup(key); ok {
-		return nil
-	}
-	prob, err := c.Policy.BatchProblem(c.Scenario.Params(), core.Options{Obs: rec, ObsLabel: track})
-	if err != nil {
-		return err
-	}
-	if b.lane == nil {
-		b.lane = map[string]int{}
-	}
-	b.lane[key] = len(b.problems)
-	b.problems = append(b.problems, prob)
-	b.cells = append(b.cells, c)
-	return nil
-}
-
-// solve answers one cell's Solve stage from the batch, firing the batch on
-// first use. A key without a lane (answered by the cache at construction
-// time, then evicted — impossible today, the cache never evicts) falls
-// back to the sequential solver so the grid stays correct regardless.
-func (b *batchSolves) solve(key, track string, c Cell, rec obs.Recorder) (any, error) {
-	i, ok := b.lane[key]
-	if !ok {
-		sol, x, err := SolvePolicyObs(c.Scenario, c.Policy, rec, track)
-		if err != nil {
-			return nil, err
-		}
-		return solvedCell{Solution: sol, X: x}, nil
-	}
-	b.once.Do(func() { b.outs = core.OptimizeBatch(b.problems) })
-	out := b.outs[i]
-	if out.Err != nil {
-		return nil, out.Err
-	}
-	lane := b.cells[i]
-	return solvedCell{Solution: out.Solution, X: lane.Policy.ExpandX(lane.Scenario.Params(), out.Solution)}, nil
-}
-
 // RunGrid fans the cells across the sweep engine and returns their
 // outcomes in cell order. Equal solve problems are computed once (shared
 // via the cache), every cell's simulator stream comes from
 // Scenario.SimSeed, and the first failing cell aborts with its name.
-//
-// The deterministic halves of the cells — the Algorithm 1 solves — run as
-// one batched lockstep call (core.OptimizeBatch) covering every distinct
-// solve problem the cache cannot already answer; the sweep engine then
-// distributes the lane results through its ordinary cache path. Outcomes
-// are bit-identical to the historical cell-at-a-time solves.
 func RunGrid(cells []Cell, g Grid) ([]PolicyOutcome, error) {
-	// Materialize the cache up front: the batch phase peeks at it to skip
-	// lanes that previous grids already solved.
-	cache := g.Cache
-	if cache == nil {
-		cache = sweep.NewCache()
-	}
-	batch := &batchSolves{}
 	jobs := make([]sweep.Job, len(cells))
 	for i, c := range cells {
-		c := c
 		sc, pol := c.Scenario, c.Policy
 		solveKey, err := sweep.Key("experiments.solve", sc.solveProblem(), int(pol))
 		if err != nil {
@@ -181,14 +104,15 @@ func RunGrid(cells []Cell, g Grid) ([]PolicyOutcome, error) {
 		// wins the singleflight race emits the same trace bytes.
 		solveTrack := fmt.Sprintf("opt/%s/%v#%s", sc.Spec, pol, keySuffix(solveKey))
 		simTrack := fmt.Sprintf("sim/%s/%v#%s", sc.Spec, pol, keySuffix(postKey))
-		if err := batch.add(solveKey, solveTrack, c, cache, g.Obs); err != nil {
-			return nil, fmt.Errorf("grid cell %s/%v: %w", sc.Spec, pol, err)
-		}
 		jobs[i] = sweep.Job{
 			Name:     fmt.Sprintf("%s/%v", sc.Spec, pol),
 			SolveKey: solveKey,
 			Solve: func() (any, error) {
-				return batch.solve(solveKey, solveTrack, c, g.Obs)
+				sol, x, err := SolvePolicyObs(sc, pol, g.Obs, solveTrack)
+				if err != nil {
+					return nil, err
+				}
+				return solvedCell{Solution: sol, X: x}, nil
 			},
 			PostKey: postKey,
 			Seed:    sc.SimSeed(pol),
@@ -203,7 +127,7 @@ func RunGrid(cells []Cell, g Grid) ([]PolicyOutcome, error) {
 		}
 	}
 	outs := sweep.Run(jobs, sweep.Options{
-		Workers: g.Workers, Cache: cache, Progress: g.Progress,
+		Workers: g.Workers, Cache: g.Cache, Progress: g.Progress,
 		Obs: g.Obs, Clock: g.Clock,
 	})
 	res := make([]PolicyOutcome, len(outs))

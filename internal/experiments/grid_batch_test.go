@@ -8,10 +8,10 @@ import (
 	"mlckpt/internal/sweep"
 )
 
-// TestGridBatchMatchesSequentialPolicies: the batched solve phase of
-// RunGrid must be invisible in the results — every outcome equals what the
-// historical cell-at-a-time RunPolicy path computes, bit for bit, across
-// all four policies.
+// TestGridBatchMatchesSequentialPolicies: running cells through RunGrid's
+// sweep engine must be invisible in the results — every outcome equals
+// what the cell-at-a-time RunPolicy path computes, bit for bit, across all
+// four policies.
 func TestGridBatchMatchesSequentialPolicies(t *testing.T) {
 	sc := EvalScenario(3e6, "8-4-2-1")
 	sc.Runs = 3
@@ -29,16 +29,15 @@ func TestGridBatchMatchesSequentialPolicies(t *testing.T) {
 			t.Fatalf("RunPolicy(%v): %v", c.Policy, err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("policy %v: batched grid outcome differs from sequential RunPolicy", c.Policy)
+			t.Errorf("policy %v: grid outcome differs from sequential RunPolicy", c.Policy)
 		}
 	}
 }
 
 // TestGridBatchSkipsWarmCache: a grid whose every solve key is already
-// cached must not re-solve anything — the batch phase peeks at the cache
-// and lanes nothing, so the second run's misses only cover the simulate
-// stages' keys (which Tab4-vs-Eval style reuse shares too; here the grids
-// are identical, so there are no new misses at all).
+// cached must not re-solve anything, so the second run's misses only cover
+// the simulate stages' keys (which Tab4-vs-Eval style reuse shares too;
+// here the grids are identical, so there are no new misses at all).
 func TestGridBatchSkipsWarmCache(t *testing.T) {
 	sc := EvalScenario(3e6, "4-3-2-1")
 	sc.Runs = 3

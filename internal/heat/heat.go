@@ -297,15 +297,9 @@ type Sample struct {
 	Speedup float64
 }
 
-// MeasureSpeedupBlocks is MeasureSpeedup for the 2-D block decomposition:
-// same problem, same cost model, but four smaller neighbor messages per
-// iteration instead of two larger ones.
-func MeasureSpeedupBlocks(cfg Config, cost mpisim.CostModel, scales []int) ([]Sample, error) {
-	return MeasureSpeedupBlocksObs(cfg, cost, scales, nil, "")
-}
-
-// MeasureSpeedupBlocksObs is MeasureSpeedupBlocks with telemetry, mirroring
-// MeasureSpeedupObs.
+// MeasureSpeedupBlocksObs is MeasureSpeedupObs for the 2-D block
+// decomposition: same problem, same cost model, same telemetry, but four
+// smaller neighbor messages per iteration instead of two larger ones.
 func MeasureSpeedupBlocksObs(cfg Config, cost mpisim.CostModel, scales []int, rec obs.Recorder, track string) ([]Sample, error) {
 	return measureSpeedup(cfg, cost, scales, rec, track, func(r *mpisim.Rank) {
 		s, err := NewBlockSolver(r, cfg)

@@ -72,8 +72,8 @@ func TestStencilRowNaN(t *testing.T) {
 	for i := range up {
 		up[i], down[i], left[i], right[i], center[i] = 1, 2, 3, 4, 5
 	}
-	up[3] = math.NaN()   // vector lane
-	up[13] = math.NaN()  // tail lane (n=16 has no tail; lane coverage anyway)
+	up[3] = math.NaN()  // vector lane
+	up[13] = math.NaN() // tail lane (n=16 has no tail; lane coverage anyway)
 	center[7] = math.NaN()
 	want := make([]float64, n)
 	got := make([]float64, n)

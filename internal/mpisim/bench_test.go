@@ -5,32 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkAllreduce measures the collective fast path: the World
-// vectorized surface (the face of the event engine built for
-// collective-dominated programs — TestWorldMatchesRun pins its equivalence
-// to Run). The ranks=1048576 case is the paper's exascale N ≈ 10^6 regime;
-// TestAllreduceMillionRanks pins its wall/alloc budget.
-func BenchmarkAllreduce(b *testing.B) {
-	for _, p := range []int{8, 64, 256, 1 << 20} {
-		b.Run(fmt.Sprintf("ranks=%d", p), func(b *testing.B) {
-			w := NewWorld(p, DefaultCostModel())
-			contrib := func(rank int, out []float64) {
-				out[0], out[1], out[2] = 1, 2, 3
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < 10; k++ {
-					w.Allreduce(Sum, 3, contrib)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAllreduceRanks measures the same 10-Allreduce program as full
-// rank programs on each engine — the cost of running arbitrary blocking
-// continuations, as opposed to the vectorized World path above.
+// BenchmarkAllreduceRanks measures a 10-Allreduce program as full rank
+// programs on each engine — the cost of running arbitrary blocking
+// continuations.
 func BenchmarkAllreduceRanks(b *testing.B) {
 	for _, engine := range []Engine{EventEngine, GoroutineEngine} {
 		for _, p := range []int{8, 64, 256} {

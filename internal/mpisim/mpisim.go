@@ -17,8 +17,7 @@
 //     at a time, from one blocking operation to the next, and the scheduler
 //     resumes the runnable rank with the smallest virtual clock. Goroutines
 //     are created lazily, only for ranks that actually block, so a program
-//     that never blocks spawns none. The vectorized World surface
-//     (world.go) extends this engine to 10^6-rank collectives.
+//     that never blocks spawns none.
 //   - GoroutineEngine: the original goroutine-per-rank runtime with channel
 //     rendezvous, kept as the differential-testing oracle. The two engines
 //     share every cost formula, so any divergence in clocks, payloads, or
@@ -512,9 +511,8 @@ const (
 	Min
 )
 
-// apply folds v into acc elementwise. Shared by the rank collectives and
-// the vectorized World surface so every path reduces with the exact same
-// float operations.
+// apply folds v into acc elementwise. Shared by Allreduce and Reduce so
+// every reduction uses the exact same float operations.
 func (op ReduceOp) apply(acc, v []float64) {
 	for j := range acc {
 		switch op {

@@ -532,10 +532,10 @@ func sortedKeys[V any](m map[int]V) []int {
 // discrepancy — single runs scatter around the expectation, so callers
 // compare against a tolerance reflecting the run count.
 type ModelComparison struct {
-	Measured  model.Portions `json:"measured"`  // fractions of the measured wall clock
-	Predicted model.Portions `json:"predicted"` // fractions of the model's E(T_w)
+	Measured                    model.Portions `json:"measured"`  // fractions of the measured wall clock
+	Predicted                   model.Portions `json:"predicted"` // fractions of the model's E(T_w)
 	MeasuredWall, PredictedWall float64
-	MaxAbsDelta float64 `json:"max_abs_delta"`
+	MaxAbsDelta                 float64 `json:"max_abs_delta"`
 }
 
 // CompareModel evaluates Formula 21 for (p, x, n) and compares the

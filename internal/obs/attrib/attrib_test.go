@@ -75,7 +75,7 @@ func TestIdentityExactOnFailingRun(t *testing.T) {
 		p := rep.Portions()
 		tol := 1e-6 * res.WallClock
 		for _, c := range []struct {
-			name       string
+			name      string
 			got, want float64
 		}{
 			{"productive", p.Productive, res.Productive},

@@ -48,9 +48,9 @@ func boringTicks(k float64) float64 {
 // — pops the earliest, skips the provably boring run of whole ticks before
 // it in O(1), and executes only the interesting tick through the exact
 // per-tick state machine. The per-tick loop survives verbatim as
-// runTicksDense (ticks_dense.go), the differential oracle: every skip is
-// conservative (it stops at least one tick short of the event), so the two
-// engines consume the failure stream and draw jitter at identical ticks,
+// runTicksDense (ticks_dense_test.go), the differential oracle: every skip
+// is conservative (it stops at least one tick short of the event), so the
+// two engines consume the failure stream and draw jitter at identical ticks,
 // and for ticks whose multiples are exactly representable (integers,
 // power-of-two fractions) the wall clocks and all integer outcome fields
 // match the dense loop exactly. The float work accumulators may differ by

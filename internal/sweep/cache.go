@@ -74,26 +74,6 @@ func (c *Cache) Do(key string, compute func() (any, error)) (any, error, bool) {
 	return e.val, e.err, false
 }
 
-// Lookup returns the completed entry for key without computing or
-// blocking. In-flight entries report !ok: the caller cannot use them yet,
-// and waiting here would defeat the point of a non-blocking peek. Grid
-// drivers use this to decide which solves still need computing before
-// batching them into one lockstep call.
-func (c *Cache) Lookup(key string) (any, error, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, nil, false
-	}
-	select {
-	case <-e.ready:
-		return e.val, e.err, true
-	default:
-		return nil, nil, false
-	}
-}
-
 // Len reports the number of distinct keys (including in-flight ones).
 func (c *Cache) Len() int {
 	c.mu.Lock()

@@ -75,46 +75,6 @@ func TestCacheDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestCacheLookup: Lookup answers completed entries (values and errors),
-// reports absent keys, and refuses in-flight entries without blocking.
-func TestCacheLookup(t *testing.T) {
-	c := NewCache()
-	if _, _, ok := c.Lookup("missing"); ok {
-		t.Error("Lookup reported a value for an absent key")
-	}
-	c.Do("k", func() (any, error) { return 42, nil })
-	if v, err, ok := c.Lookup("k"); !ok || err != nil || v.(int) != 42 {
-		t.Errorf("Lookup(k) = (%v, %v, %v), want (42, nil, true)", v, err, ok)
-	}
-	boom := errors.New("boom")
-	c.Do("bad", func() (any, error) { return nil, boom })
-	if _, err, ok := c.Lookup("bad"); !ok || !errors.Is(err, boom) {
-		t.Errorf("Lookup(bad) = (err=%v, ok=%v), want the cached error", err, ok)
-	}
-
-	// An in-flight computation must not be visible (and must not block).
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.Do("slow", func() (any, error) {
-			close(entered)
-			<-release
-			return "late", nil
-		})
-	}()
-	<-entered
-	if _, _, ok := c.Lookup("slow"); ok {
-		t.Error("Lookup returned an in-flight entry")
-	}
-	close(release)
-	<-done
-	if v, _, ok := c.Lookup("slow"); !ok || v.(string) != "late" {
-		t.Errorf("Lookup(slow) after completion = (%v, %v)", v, ok)
-	}
-}
-
 func TestCachePanicReleasesWaiters(t *testing.T) {
 	c := NewCache()
 	var wg sync.WaitGroup
