@@ -57,12 +57,15 @@ short:
 	$(GO) test -short ./...
 
 # Bounded fuzz sessions for the Spec-validation, cache-key,
-# linter-robustness, and model-evaluator-vs-oracle invariants.
+# linter-robustness, model-evaluator-vs-oracle, simulator-runner-vs-oracle
+# and failure-trace-decoder invariants.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeNeverPanics -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzKeyEquality -fuzztime 30s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzLintNeverPanics -fuzztime 30s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzEvaluatorMatchesScalar -fuzztime 30s ./internal/model
+	$(GO) test -run '^$$' -fuzz FuzzRunMatchesReference -fuzztime 30s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 30s ./internal/failure
 
 # Regenerate the golden reference after an intentional numbers change.
 # Review the diff before committing: every change here is a change to the

@@ -132,20 +132,25 @@ type Event struct {
 
 // Process samples failure events for one execution at a fixed scale.
 type Process struct {
-	rates Rates
-	scale float64
 	dist  Distribution
 	shape float64 // Weibull shape when dist == Weibull
 	rng   *stats.RNG
 	next  []float64 // next pending arrival per level
+	rate  []float64 // λ_i(N) per level, bound once: the scale is fixed
 }
 
 // NewProcess creates a sampling process at scale n using the given RNG. For
 // Weibull, shape must be positive; the scale parameter per level is chosen
 // so the mean interarrival matches the exponential case (rate equivalence).
 func NewProcess(r Rates, n float64, dist Distribution, shape float64, rng *stats.RNG) *Process {
-	p := &Process{rates: r, scale: n, dist: dist, shape: shape, rng: rng}
-	p.next = make([]float64, r.Levels())
+	p := &Process{dist: dist, shape: shape, rng: rng}
+	// One allocation carries both per-level slices.
+	L := r.Levels()
+	buf := make([]float64, 2*L)
+	p.next, p.rate = buf[:L:L], buf[L:]
+	for i := range p.rate {
+		p.rate[i] = r.PerSecondAt(i, n)
+	}
 	for i := range p.next {
 		p.next[i] = p.sampleInterarrival(i)
 	}
@@ -153,7 +158,7 @@ func NewProcess(r Rates, n float64, dist Distribution, shape float64, rng *stats
 }
 
 func (p *Process) sampleInterarrival(level int) float64 {
-	return interarrival(p.rng, p.rates.PerSecondAt(level, p.scale), p.dist, p.shape)
+	return interarrival(p.rng, p.rate[level], p.dist, p.shape)
 }
 
 // interarrival samples one interarrival time at the given rate under the

@@ -240,3 +240,69 @@ func TestRateProportionalityProperty(t *testing.T) {
 		t.Errorf("scale doubling produced event ratio %.2f, want ≈2", ratio)
 	}
 }
+
+// TestProcessMatchesUnboundRates pins Process, which binds λ_i(N) once at
+// construction, to the unbound formula: a reference loop beside it draws
+// every arrival as interarrival(rng, r.PerSecondAt(i, n), …) from its own
+// RNG at the same seed. The simulator's oracle calls the same Process, so
+// this test is what holds the sampler itself. Events, the no-event flag
+// and the RNG stream after the last step must be identical, including
+// steps whose horizon skips past pending arrivals.
+func TestProcessMatchesUnboundRates(t *testing.T) {
+	specs := []string{"16-12-8-4", "4-0-2-0", "0-0-0", "0.5", "1000-0.001-3"}
+	scales := []float64{1, 64, 1024, 5e5, 3e6}
+	for _, spec := range specs {
+		r := MustParseRates(spec, 1024)
+		for _, n := range scales {
+			for _, dist := range []Distribution{Exponential, Weibull} {
+				shape := 0.0
+				if dist == Weibull {
+					shape = 0.7
+				}
+				seed := uint64(len(spec))*1000 + uint64(n)
+				rng, refRNG := stats.NewRNG(seed), stats.NewRNG(seed)
+				proc := NewProcess(r, n, dist, shape, rng)
+				next := make([]float64, r.Levels())
+				for i := range next {
+					next[i] = interarrival(refRNG, r.PerSecondAt(i, n), dist, shape)
+				}
+				horizon := stats.NewRNG(seed + 1)
+				from := 0.0
+				for step := 0; step < 300; step++ {
+					got, gotOK := proc.Next(from)
+					best, lvl := math.Inf(1), -1
+					for i, at := range next {
+						if at < best {
+							best, lvl = at, i
+						}
+					}
+					wantOK := lvl >= 0 && !math.IsInf(best, 1)
+					var want Event
+					if wantOK {
+						want = Event{Time: best, Level: lvl}
+						next[lvl] = best + interarrival(refRNG, r.PerSecondAt(lvl, n), dist, shape)
+						if want.Time < from {
+							want.Time = from
+						}
+					}
+					if gotOK != wantOK || got.Level != want.Level ||
+						math.Float64bits(got.Time) != math.Float64bits(want.Time) {
+						t.Fatalf("%s n=%g %v step %d: Next(%g) = %+v %t, want %+v %t",
+							spec, n, dist, step, from, got, gotOK, want, wantOK)
+					}
+					if !gotOK {
+						break
+					}
+					from = got.Time
+					if horizon.Intn(4) == 0 {
+						// Skip ahead: later arrivals re-issue at the horizon.
+						from += horizon.Exponential(r.TotalPerSecondAt(n))
+					}
+				}
+				if a, b := rng.Uint64(), refRNG.Uint64(); a != b {
+					t.Fatalf("%s n=%g %v: RNG next draw %#x, want %#x", spec, n, dist, a, b)
+				}
+			}
+		}
+	}
+}

@@ -1,8 +1,12 @@
 package failure
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"mlckpt/internal/stats"
 )
 
 // FuzzParseRates ensures the spec parser never panics and that every
@@ -45,5 +49,47 @@ func FuzzParseRates(f *testing.F) {
 			}
 		}
 		_ = strings.Count(spec, "-")
+	})
+}
+
+// FuzzReadTrace feeds arbitrary bytes to the trace-file decoder, which
+// `cmd/experiments -replay` points at outside input. Every input either
+// fails with an error or decodes to events that round-trip through
+// WriteTrace bit for bit; a panic fails.
+func FuzzReadTrace(f *testing.F) {
+	var sampled bytes.Buffer
+	events := Trace(MustParseRates("16-12-8-4", 1024), 1024, SecondsPerDay, Exponential, 0, stats.NewRNG(7))
+	if err := WriteTrace(&sampled, events); err != nil {
+		f.Fatal(err)
+	}
+	const hdr = `{"format":"mlckpt-failure-trace","version":1,"events":`
+	f.Add(sampled.Bytes())
+	f.Add([]byte(""))
+	f.Add([]byte(hdr + "0}\n"))
+	f.Add([]byte(hdr + "9223372036854775807}\n"))
+	f.Add([]byte(hdr + "4000000000}\n" + `{"t":1,"level":0}` + "\n"))
+	f.Add([]byte(hdr + "2}\n" + `{"t":-0,"level":7}` + "\n\n" + `{"t":1e300,"level":0}` + "\n"))
+	f.Add([]byte(hdr + "1}\n" + `{"t":1,"level":0} {}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteTrace(&out, events); err != nil {
+			t.Fatalf("decoded trace does not re-encode: %v", err)
+		}
+		back, err := ReadTrace(&out)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v", err)
+		}
+		if len(back) != len(events) {
+			t.Fatalf("round trip kept %d of %d events", len(back), len(events))
+		}
+		for i, ev := range events {
+			if back[i].Level != ev.Level || math.Float64bits(back[i].Time) != math.Float64bits(ev.Time) {
+				t.Fatalf("event %d round-trips to %+v, want %+v", i, back[i], ev)
+			}
+		}
 	})
 }

@@ -26,6 +26,13 @@ const (
 	TraceVersion = 1
 )
 
+// maxTracePrealloc bounds the capacity ReadTrace reserves from the
+// header's event count. The count is untrusted input: a forged one must
+// not size an allocation (math.MaxInt64 would panic in make, and a few
+// billion would exhaust memory). Longer traces grow by append, and the
+// count is still checked against the body.
+const maxTracePrealloc = 1 << 12
+
 // traceHeader is the first JSONL line of a trace file.
 type traceHeader struct {
 	Format  string `json:"format"`
@@ -94,7 +101,7 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 	if hdr.Events < 0 {
 		return nil, fmt.Errorf("%w: negative event count %d", ErrTrace, hdr.Events)
 	}
-	events := make([]Event, 0, hdr.Events)
+	events := make([]Event, 0, min(hdr.Events, maxTracePrealloc))
 	line := 1
 	for sc.Scan() {
 		line++

@@ -69,6 +69,10 @@ func TestReadTraceStrict(t *testing.T) {
 		"unsorted":        `{"format":"mlckpt-failure-trace","version":1,"events":2}` + "\n" + `{"t":5,"level":0}` + "\n" + `{"t":1,"level":0}` + "\n",
 		"truncated body":  `{"format":"mlckpt-failure-trace","version":1,"events":3}` + "\n" + `{"t":1,"level":0}` + "\n",
 		"count too small": `{"format":"mlckpt-failure-trace","version":1,"events":0}` + "\n" + `{"t":1,"level":0}` + "\n",
+		// Forged counts must not size the event buffer: MaxInt64 used to
+		// panic in make, four billion used to request 64 GB.
+		"count MaxInt64": `{"format":"mlckpt-failure-trace","version":1,"events":9223372036854775807}` + "\n",
+		"count 4e9":      `{"format":"mlckpt-failure-trace","version":1,"events":4000000000}` + "\n" + `{"t":1,"level":0}` + "\n",
 	}
 	for name, doc := range cases {
 		if _, err := ReadTrace(strings.NewReader(doc)); !errors.Is(err, ErrTrace) {
@@ -94,5 +98,26 @@ func TestWeibullSharedSampler(t *testing.T) {
 	}
 	if traced[0].Time != ev.Time {
 		t.Fatalf("first arrival differs: trace %g, process %g", traced[0].Time, ev.Time)
+	}
+}
+
+// TestReadTraceBeyondPrealloc reads a trace longer than the capacity
+// ReadTrace reserves from the header, so the buffer must grow by append.
+func TestReadTraceBeyondPrealloc(t *testing.T) {
+	events := make([]Event, 2*maxTracePrealloc+1)
+	for i := range events {
+		events[i] = Event{Time: float64(i), Level: i % 4}
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(events) || got[len(got)-1] != events[len(events)-1] {
+		t.Fatalf("read %d events ending %v, want %d ending %v",
+			len(got), got[len(got)-1], len(events), events[len(events)-1])
 	}
 }

@@ -178,112 +178,115 @@ func (r Result) Efficiency(te, n float64) float64 {
 
 // Run simulates one execution with the given RNG.
 func Run(cfg Config, rng *stats.RNG) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	var r runner
+	if err := r.bind(cfg, rng); err != nil {
 		return Result{}, err
+	}
+	r.run()
+	return r.res, nil
+}
+
+// runner is one execution bound to its configuration. bind resolves every
+// quantity that is fixed for the run — the productive time P, each level's
+// checkpoint period τ_i = P/x_i and overheads C_i(N) and R_i(N), the
+// truncation horizon and the trace budget — and run plays the event loop
+// over them. Each level's next checkpoint mark is cached and refreshed
+// only where its interval index changes. The RNG draw sequence, the order
+// of every float operation and every obs call match the closure-based
+// form kept as runRef in run_ref_test.go, so results are bit-identical.
+type runner struct {
+	cfg     Config // by value: holding a pointer moves the caller's Config to the heap
+	rng     *stats.RNG
+	L       int
+	P       float64 // the run completes when progress reaches P = T_e/g(N)
+	maxWall float64 // truncation horizon
+
+	tau      []float64 // per-level checkpoint period in progress seconds
+	xEnd     []float64 // x_i − 1e-9: a mark index at or past it is the run's end
+	ckptCost []float64 // C_i(N)
+	recCost  []float64 // R_i(N)
+
+	nextMark     []int     // next interval index to checkpoint (1..x_i-1)
+	mark         []float64 // markAt(i), refreshed whenever nextMark[i] changes
+	lastCkpt     []float64 // progress of newest completed ckpt per level (0 = start)
+	furthestCkpt []float64 // furthest progress ever checkpointed per level
+
+	// corrupt[i] marks the newest level-i checkpoint as silently damaged.
+	// Allocated (and RNG consulted) only when the silent-error class is
+	// enabled, so default-config runs keep their exact draw sequence.
+	corrupt []bool
+
+	// Failure source: a stochastic process by default, or (proc == nil)
+	// the unread rest of a fixed replay trace. The next failure stays
+	// pending until consumed.
+	proc        *failure.Process
+	replay      []failure.Event
+	pendingFail failure.Event
+	havePending bool
+
+	wall     float64 // wall-clock seconds
+	progress float64 // parallel productive seconds completed
+	furthest float64 // furthest progress ever reached
+	res      Result
+
+	rec            obs.Recorder
+	budget         int // trace events left; negative means unlimited
+	truncatedTrace bool
+}
+
+// bind validates cfg and computes every per-run constant. The failure
+// process draws its first arrival per level here, as the closure form did.
+func (r *runner) bind(cfg Config, rng *stats.RNG) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	p := cfg.Params
 	L := p.L()
 	n := cfg.N
 	P := p.ProductiveTime(n)
 	if math.IsInf(P, 0) || P <= 0 {
-		return Result{}, fmt.Errorf("%w: productive time %g at N=%g", ErrConfig, P, n)
+		return fmt.Errorf("%w: productive time %g at N=%g", ErrConfig, P, n)
 	}
 	maxWall := cfg.MaxWallClock
 	if maxWall <= 0 {
 		maxWall = 4000 * failure.SecondsPerDay * 20
 	}
+	r.cfg, r.rng, r.L, r.P, r.maxWall = cfg, rng, L, P, maxWall
 
-	// Per-level state lives in two slabs (one float64, one int) instead of
-	// six separate slices: sweeps run this function millions of times, so
-	// the fixed per-call allocation count matters. The two slices returned
-	// inside Result get their capacity clipped so an appending caller can
-	// never spill into a neighboring slab region.
-	floats := make([]float64, 3*L)
+	// Per-level constants and state live in two slabs (one float64, one
+	// int) instead of separate slices: sweeps run this function millions
+	// of times, so the fixed per-call allocation count matters. The two
+	// slices returned inside Result get their capacity clipped so an
+	// appending caller can never spill into a neighboring slab region.
+	floats := make([]float64, 7*L)
 	ints := make([]int, 3*L)
-
-	// Per-level checkpoint period in progress seconds.
-	tau := floats[0*L : 1*L]
-	nextMark := ints[0*L : 1*L] // next interval index to checkpoint (1..x_i-1)
-	for i := range tau {
-		tau[i] = P / cfg.X[i]
-		nextMark[i] = 1
+	r.tau = floats[0*L : 1*L]
+	r.xEnd = floats[1*L : 2*L]
+	r.ckptCost = floats[2*L : 3*L]
+	r.recCost = floats[3*L : 4*L]
+	r.mark = floats[4*L : 5*L]
+	r.lastCkpt = floats[5*L : 6*L]
+	r.furthestCkpt = floats[6*L : 7*L]
+	r.nextMark = ints[0*L : 1*L]
+	r.res.Failures = ints[1*L : 2*L : 2*L]
+	r.res.CheckpointsTaken = ints[2*L : 3*L : 3*L]
+	for i := 0; i < L; i++ {
+		r.tau[i] = P / cfg.X[i]
+		r.xEnd[i] = cfg.X[i] - 1e-9
+		r.ckptCost[i] = p.Levels[i].Checkpoint.At(n)
+		r.recCost[i] = p.Levels[i].Recovery.At(n)
+		r.nextMark[i] = 1
+		r.mark[i] = r.markAt(i)
+		r.furthestCkpt[i] = -1
 	}
-	markProgress := func(i int) float64 {
-		if float64(nextMark[i]) >= cfg.X[i]-1e-9 {
-			return math.Inf(1) // no checkpoint at the very end of the run
-		}
-		return float64(nextMark[i]) * tau[i]
-	}
-
-	res := Result{
-		Failures:         ints[1*L : 2*L : 2*L],
-		CheckpointsTaken: ints[2*L : 3*L : 3*L],
-	}
-	lastCkpt := floats[1*L : 2*L]     // progress of newest completed ckpt per level (0 = start)
-	furthestCkpt := floats[2*L : 3*L] // furthest progress ever checkpointed per level
-	for i := range furthestCkpt {
-		furthestCkpt[i] = -1
-	}
-
-	// corrupt[i] marks the newest level-i checkpoint as silently damaged.
-	// Allocated (and RNG consulted) only when the silent-error class is
-	// enabled, so default-config runs keep their exact draw sequence.
-	var corrupt []bool
 	if cfg.SilentCorruptionProb > 0 {
-		corrupt = make([]bool, L)
+		r.corrupt = make([]bool, L)
 	}
 
-	// Failure source: a stochastic process by default, or a fixed replay
-	// trace (recorded from another run, or imported from a real system's
-	// failure log).
-	var draw func(from float64) (failure.Event, bool)
 	if cfg.Replay != nil {
-		idx := 0
-		trace := cfg.Replay
-		draw = func(from float64) (failure.Event, bool) {
-			if idx >= len(trace) {
-				return failure.Event{}, false
-			}
-			ev := trace[idx]
-			idx++
-			if ev.Level < 0 || ev.Level >= L {
-				// Clamp foreign traces with more classes than levels.
-				ev.Level = L - 1
-			}
-			if ev.Time < from {
-				ev.Time = from
-			}
-			return ev, true
-		}
+		r.replay = cfg.Replay
 	} else {
-		proc := failure.NewProcess(p.Rates, n, cfg.Dist, cfg.WeibullShape, rng)
-		draw = proc.Next
-	}
-	var pendingFail failure.Event
-	havePending := false
-	nextFailure := func(from float64) (failure.Event, bool) {
-		if havePending {
-			if pendingFail.Time < from {
-				pendingFail.Time = from
-			}
-			return pendingFail, true
-		}
-		ev, ok := draw(from)
-		if ok {
-			pendingFail, havePending = ev, true
-		}
-		return ev, ok
-	}
-	consumeFailure := func() { havePending = false }
-
-	wall := 0.0     // wall-clock seconds
-	progress := 0.0 // parallel productive seconds completed
-	furthest := 0.0 // furthest progress ever reached
-
-	record := func(kind EventKind, level int) {
-		if cfg.RecordEvents {
-			res.Events = append(res.Events, TraceEvent{Time: wall, Kind: kind, Level: level, Progress: progress})
-		}
+		r.proc = failure.NewProcess(p.Rates, n, cfg.Dist, cfg.WeibullShape, rng)
 	}
 
 	// Telemetry: spans live on the run's virtual clock (wall), so the
@@ -291,334 +294,396 @@ func Run(cfg Config, rng *stats.RNG) (Result, error) {
 	// bytes for any worker count. Tracing is gated on ObsTrack because a
 	// 100-run batch only traces its first run (see RunMany), and bounded
 	// by ObsMaxEvents so checkpoint-heavy runs cannot flood the timeline.
-	rec := obs.OrNop(cfg.Obs)
-	budget := 0
+	r.rec = obs.OrNop(cfg.Obs)
 	if cfg.ObsTrack != "" {
-		budget = cfg.ObsMaxEvents
-		if budget == 0 {
-			budget = 1000
+		r.budget = cfg.ObsMaxEvents
+		if r.budget == 0 {
+			r.budget = 1000
 		}
 	}
-	truncatedTrace := false
-	tracing := func() bool {
-		if cfg.ObsTrack == "" {
-			return false
-		}
-		if budget != 0 {
-			if budget > 0 {
-				budget--
-			}
-			return true
-		}
-		if !truncatedTrace {
-			truncatedTrace = true
-			rec.Count("sim.trace_truncated", 1)
-			rec.Instant(cfg.ObsTrack, "trace-truncated", wall, nil)
-		}
-		return false
-	}
-	failureInstant := func(class int) {
-		if tracing() {
-			rec.Instant(cfg.ObsTrack, "failure", wall, map[string]float64{
-				"class": float64(class + 1), "progress": progress,
-			})
-		}
-	}
+	return nil
+}
 
-	// strike applies the storage damage and rollback of a class-c failure:
-	// checkpoints below level c are destroyed (their storage died with the
-	// failure), and execution restores to the furthest checkpoint of level
-	// ≥ c (all of which lie at or before that point by construction). It
-	// returns the level restored from — the cheapest level holding the
-	// restore point — or -1 when execution restarts from scratch.
-	strike := func(c int) int {
-		// Verify-on-restore: reject corrupted checkpoints before trusting
-		// the restore point. Each rejection pays the rejected level's
-		// recovery cost as detection latency (the read that found the bad
-		// checksum) and escalates to the next-best intact file — the sim
-		// counterpart of fti.RestoreEscalating.
-		if corrupt != nil {
-			for {
-				best, q := -1, 0.0
-				for i := c; i < L; i++ {
-					if lastCkpt[i] > q {
-						best, q = i, lastCkpt[i]
-					}
+// markAt returns level i's next checkpoint mark in progress seconds, or
+// +Inf when its interval index has reached x_i: there is no checkpoint at
+// the very end of the run.
+func (r *runner) markAt(i int) float64 {
+	if float64(r.nextMark[i]) >= r.xEnd[i] {
+		return math.Inf(1)
+	}
+	return float64(r.nextMark[i]) * r.tau[i]
+}
+
+// draw takes the next event from the failure source: the stochastic
+// process, or the replay trace (recorded from another run, or imported
+// from a real system's failure log).
+func (r *runner) draw(from float64) (failure.Event, bool) {
+	if r.proc != nil {
+		return r.proc.Next(from)
+	}
+	if len(r.replay) == 0 {
+		return failure.Event{}, false
+	}
+	ev := r.replay[0]
+	r.replay = r.replay[1:]
+	if ev.Level < 0 || ev.Level >= r.L {
+		// Clamp foreign traces with more classes than levels.
+		ev.Level = r.L - 1
+	}
+	if ev.Time < from {
+		ev.Time = from
+	}
+	return ev, true
+}
+
+// nextFailure peeks at the next failure at or after from. The event stays
+// pending, its time clamped forward to the caller's horizon, until the
+// caller consumes it by clearing havePending.
+func (r *runner) nextFailure(from float64) (failure.Event, bool) {
+	if r.havePending {
+		if r.pendingFail.Time < from {
+			r.pendingFail.Time = from
+		}
+		return r.pendingFail, true
+	}
+	ev, ok := r.draw(from)
+	if ok {
+		r.pendingFail, r.havePending = ev, true
+	}
+	return ev, ok
+}
+
+func (r *runner) record(kind EventKind, level int) {
+	if r.cfg.RecordEvents {
+		r.res.Events = append(r.res.Events, TraceEvent{Time: r.wall, Kind: kind, Level: level, Progress: r.progress})
+	}
+}
+
+// tracing reports whether the next trace event may be emitted. It is
+// small enough to inline, so untraced runs pay one compare per event.
+func (r *runner) tracing() bool {
+	return r.cfg.ObsTrack != "" && r.spend()
+}
+
+// spend takes one unit of the trace budget; the first refusal emits the
+// truncation marker.
+func (r *runner) spend() bool {
+	if r.budget != 0 {
+		if r.budget > 0 {
+			r.budget--
+		}
+		return true
+	}
+	if !r.truncatedTrace {
+		r.truncatedTrace = true
+		r.rec.Count("sim.trace_truncated", 1)
+		r.rec.Instant(r.cfg.ObsTrack, "trace-truncated", r.wall, nil)
+	}
+	return false
+}
+
+func (r *runner) failureInstant(class int) {
+	if r.tracing() {
+		r.rec.Instant(r.cfg.ObsTrack, "failure", r.wall, map[string]float64{
+			"class": float64(class + 1), "progress": r.progress,
+		})
+	}
+}
+
+func (r *runner) rollbackInstant(restoreLvl int) {
+	if r.tracing() {
+		r.rec.Instant(r.cfg.ObsTrack, "rollback", r.wall, map[string]float64{
+			"to": r.progress, "restore_level": float64(restoreLvl + 1),
+		})
+	}
+}
+
+// strike applies the storage damage and rollback of a class-c failure:
+// checkpoints below level c are destroyed (their storage died with the
+// failure), and execution restores to the furthest checkpoint of level
+// ≥ c (all of which lie at or before that point by construction). It
+// returns the level restored from — the cheapest level holding the
+// restore point — or -1 when execution restarts from scratch.
+func (r *runner) strike(c int) int {
+	// Verify-on-restore: reject corrupted checkpoints before trusting
+	// the restore point. Each rejection pays the rejected level's
+	// recovery cost as detection latency (the read that found the bad
+	// checksum) and escalates to the next-best intact file — the sim
+	// counterpart of fti.RestoreEscalating.
+	if r.corrupt != nil {
+		for {
+			best, q := -1, 0.0
+			for i := c; i < r.L; i++ {
+				if r.lastCkpt[i] > q {
+					best, q = i, r.lastCkpt[i]
 				}
-				if best < 0 || !corrupt[best] {
-					break
-				}
-				pen := rng.Jitter(p.Levels[best].Recovery.At(n), cfg.JitterRatio)
-				if tracing() {
-					rec.Span(cfg.ObsTrack, "silent-detect", wall, pen, map[string]float64{
-						"level": float64(best + 1),
-					})
-				}
-				wall += pen
-				res.Restart += pen
-				res.SilentDetected++
-				lastCkpt[best] = 0
-				corrupt[best] = false
-				record(EvSilentDetect, best)
 			}
-		}
-		q := 0.0
-		for i := c; i < L; i++ {
-			if lastCkpt[i] > q {
-				q = lastCkpt[i]
+			if best < 0 || !r.corrupt[best] {
+				break
 			}
-		}
-		for i := 0; i < c; i++ {
-			lastCkpt[i] = 0
-			if corrupt != nil {
-				corrupt[i] = false
+			pen := r.rng.Jitter(r.recCost[best], r.cfg.JitterRatio)
+			if r.tracing() {
+				r.rec.Span(r.cfg.ObsTrack, "silent-detect", r.wall, pen, map[string]float64{
+					"level": float64(best + 1),
+				})
 			}
+			r.wall += pen
+			r.res.Restart += pen
+			r.res.SilentDetected++
+			r.lastCkpt[best] = 0
+			r.corrupt[best] = false
+			r.record(EvSilentDetect, best)
 		}
-		if q < progress {
-			progress = q
+	}
+	q := 0.0
+	for i := c; i < r.L; i++ {
+		if r.lastCkpt[i] > q {
+			q = r.lastCkpt[i]
 		}
-		for i := range nextMark {
-			nextMark[i] = int(progress/tau[i]+1e-9) + 1
+	}
+	for i := 0; i < c; i++ {
+		r.lastCkpt[i] = 0
+		if r.corrupt != nil {
+			r.corrupt[i] = false
 		}
-		if q <= 0 {
-			return -1
-		}
-		for i := c; i < L; i++ {
-			//lint:allow floateq q and lastCkpt[i] are the same stored value when they match (assigned from one expression), so exact identity is the correct test
-			if lastCkpt[i] == q {
-				return i
-			}
-		}
+	}
+	if q < r.progress {
+		r.progress = q
+	}
+	for i := range r.nextMark {
+		r.nextMark[i] = int(r.progress/r.tau[i]+1e-9) + 1
+		r.mark[i] = r.markAt(i)
+	}
+	if q <= 0 {
 		return -1
 	}
+	for i := c; i < r.L; i++ {
+		//lint:allow floateq q and lastCkpt[i] are the same stored value when they match (assigned from one expression), so exact identity is the correct test
+		if r.lastCkpt[i] == q {
+			return i
+		}
+	}
+	return -1
+}
 
-	// handleFailure processes a class-c failure at the current wall time:
-	// rollback, allocation, recovery, and any failures during recovery.
-	// The recovery overhead charged is the RESTORING level's, not the
-	// failure class's: a class-1 fault in a PFS-only deployment still pays
-	// the PFS read — which is what makes the single-level baselines
-	// collapse at scale (the paper's ~890-day SL(ori-scale) in Table IV).
-	handleFailure := func(c int) {
-		res.Failures[c]++
-		record(EvFailure, c)
-		failureInstant(c)
-		restoreLvl := strike(c)
-		rollbackInstant := func() {
-			if tracing() {
-				rec.Instant(cfg.ObsTrack, "rollback", wall, map[string]float64{
-					"to": progress, "restore_level": float64(restoreLvl + 1),
+// handleFailure processes a class-c failure at the current wall time:
+// rollback, allocation, recovery, and any failures during recovery.
+// The recovery overhead charged is the RESTORING level's, not the
+// failure class's: a class-1 fault in a PFS-only deployment still pays
+// the PFS read — which is what makes the single-level baselines
+// collapse at scale (the paper's ~890-day SL(ori-scale) in Table IV).
+func (r *runner) handleFailure(c int) {
+	r.res.Failures[c]++
+	r.record(EvFailure, c)
+	r.failureInstant(c)
+	restoreLvl := r.strike(c)
+	r.rollbackInstant(restoreLvl)
+	// Correlated-window merge (paper footnote 1): failures of class
+	// ≤ c arriving within the window belong to this event.
+	if r.cfg.CorrelationWindow > 0 {
+		for {
+			ev, ok := r.nextFailure(r.wall)
+			if !ok || ev.Time > r.wall+r.cfg.CorrelationWindow || ev.Level > c {
+				break
+			}
+			r.havePending = false
+			r.res.Absorbed++
+			r.record(EvAbsorbedFailure, ev.Level)
+			if r.tracing() {
+				r.rec.Instant(r.cfg.ObsTrack, "failure-absorbed", ev.Time, map[string]float64{
+					"class": float64(ev.Level + 1),
 				})
 			}
 		}
-		rollbackInstant()
-		// Correlated-window merge (paper footnote 1): failures of class
-		// ≤ c arriving within the window belong to this event.
-		if cfg.CorrelationWindow > 0 {
-			for {
-				ev, ok := nextFailure(wall)
-				if !ok || ev.Time > wall+cfg.CorrelationWindow || ev.Level > c {
-					break
-				}
-				consumeFailure()
-				res.Absorbed++
-				record(EvAbsorbedFailure, ev.Level)
-				if tracing() {
-					rec.Instant(cfg.ObsTrack, "failure-absorbed", ev.Time, map[string]float64{
-						"class": float64(ev.Level + 1),
-					})
-				}
-			}
+	}
+	// Allocation + recovery, restarting on failures inside the window.
+	for {
+		dur := r.cfg.Params.Alloc
+		if restoreLvl >= 0 {
+			dur += r.rng.Jitter(r.recCost[restoreLvl], r.cfg.JitterRatio)
 		}
-		// Allocation + recovery, restarting on failures inside the window.
-		for {
-			dur := p.Alloc
-			if restoreLvl >= 0 {
-				dur += rng.Jitter(p.Levels[restoreLvl].Recovery.At(n), cfg.JitterRatio)
-			}
-			if cfg.DisableFailuresDuringRecovery {
-				if tracing() {
-					rec.Span(cfg.ObsTrack, "recovery", wall, dur, map[string]float64{
-						"restore_level": float64(restoreLvl + 1),
-					})
-				}
-				wall += dur
-				res.Restart += dur
-				record(EvRecoveryDone, restoreLvl)
-				return
-			}
-			ev, ok := nextFailure(wall)
-			if !ok || ev.Time >= wall+dur {
-				if tracing() {
-					rec.Span(cfg.ObsTrack, "recovery", wall, dur, map[string]float64{
-						"restore_level": float64(restoreLvl + 1),
-					})
-				}
-				wall += dur
-				res.Restart += dur
-				record(EvRecoveryDone, restoreLvl)
-				return
-			}
-			// Failure during recovery: the elapsed slice still counts as
-			// restart time; recovery begins again, possibly from an older
-			// checkpoint if the new class is higher.
-			consumeFailure()
-			if tracing() {
-				rec.Span(cfg.ObsTrack, "recovery-abort", wall, ev.Time-wall, map[string]float64{
+		ev, ok := failure.Event{}, false
+		if !r.cfg.DisableFailuresDuringRecovery {
+			ev, ok = r.nextFailure(r.wall)
+		}
+		if !ok || ev.Time >= r.wall+dur {
+			if r.tracing() {
+				r.rec.Span(r.cfg.ObsTrack, "recovery", r.wall, dur, map[string]float64{
 					"restore_level": float64(restoreLvl + 1),
 				})
 			}
-			res.Restart += ev.Time - wall
-			wall = ev.Time
-			res.Failures[ev.Level]++
-			record(EvFailure, ev.Level)
-			failureInstant(ev.Level)
-			if ev.Level > c {
-				c = ev.Level
-			}
-			restoreLvl = strike(c)
-			rollbackInstant()
+			r.wall += dur
+			r.res.Restart += dur
+			r.record(EvRecoveryDone, restoreLvl)
+			return
 		}
+		// Failure during recovery: the elapsed slice still counts as
+		// restart time; recovery begins again, possibly from an older
+		// checkpoint if the new class is higher.
+		r.havePending = false
+		if r.tracing() {
+			r.rec.Span(r.cfg.ObsTrack, "recovery-abort", r.wall, ev.Time-r.wall, map[string]float64{
+				"restore_level": float64(restoreLvl + 1),
+			})
+		}
+		r.res.Restart += ev.Time - r.wall
+		r.wall = ev.Time
+		r.res.Failures[ev.Level]++
+		r.record(EvFailure, ev.Level)
+		r.failureInstant(ev.Level)
+		if ev.Level > c {
+			c = ev.Level
+		}
+		restoreLvl = r.strike(c)
+		r.rollbackInstant(restoreLvl)
 	}
+}
 
-	for progress < P {
-		if wall > maxWall {
-			res.Truncated = true
+// run plays the execution to completion (or truncation) and reports the
+// run's counters.
+func (r *runner) run() {
+	for r.progress < r.P {
+		if r.wall > r.maxWall {
+			r.res.Truncated = true
 			break
 		}
 		// Next due checkpoint mark: the earliest mark over levels; at equal
-		// marks the HIGHEST level wins and lower ones are skipped.
+		// marks the HIGHEST level wins and lower ones are skipped. The scan
+		// runs downward, so a lower level takes over only with a mark
+		// earlier by more than the tolerance.
 		dueProgress := math.Inf(1)
 		dueLevel := -1
-		for i := L - 1; i >= 0; i-- {
-			m := markProgress(i)
-			if m < dueProgress-1e-9 {
+		for i := r.L - 1; i >= 0; i-- {
+			if m := r.mark[i]; m < dueProgress-1e-9 {
 				dueProgress, dueLevel = m, i
-			} else if m < dueProgress+1e-9 && i > dueLevel {
-				dueLevel = i
 			}
 		}
-		segEnd := math.Min(dueProgress, P)
+		// min(dueProgress, P): neither is NaN and P > progress ≥ 0, so a
+		// plain compare is exactly math.Min.
+		segEnd := r.P
+		if dueProgress < segEnd {
+			segEnd = dueProgress
+		}
 
 		// --- Productive segment [progress, segEnd) ---
-		segDur := segEnd - progress
+		segDur := segEnd - r.progress
 		if segDur > 0 {
-			ev, ok := nextFailure(wall)
-			if ok && ev.Time < wall+segDur {
+			ev, ok := r.nextFailure(r.wall)
+			if ok && ev.Time < r.wall+segDur {
 				// Failure mid-segment.
-				consumeFailure()
-				ran := ev.Time - wall
-				advanceWork(&res, progress, progress+ran, furthest)
-				progress += ran
-				if progress > furthest {
-					furthest = progress
+				r.havePending = false
+				ran := ev.Time - r.wall
+				advanceWork(&r.res, r.progress, r.progress+ran, r.furthest)
+				r.progress += ran
+				if r.progress > r.furthest {
+					r.furthest = r.progress
 				}
-				wall = ev.Time
-				handleFailure(ev.Level)
+				r.wall = ev.Time
+				r.handleFailure(ev.Level)
 				continue
 			}
-			advanceWork(&res, progress, segEnd, furthest)
-			wall += segDur
-			progress = segEnd
-			if progress > furthest {
-				furthest = progress
+			advanceWork(&r.res, r.progress, segEnd, r.furthest)
+			r.wall += segDur
+			r.progress = segEnd
+			if r.progress > r.furthest {
+				r.furthest = r.progress
 			}
 		}
-		if progress >= P {
+		if r.progress >= r.P {
 			break
 		}
 
 		// --- Checkpoint at dueProgress, level dueLevel ---
-		dur := rng.Jitter(p.Levels[dueLevel].Checkpoint.At(n), cfg.JitterRatio)
-		redo := progress <= furthestCkpt[dueLevel]+1e-9
+		dur := r.rng.Jitter(r.ckptCost[dueLevel], r.cfg.JitterRatio)
+		redo := r.progress <= r.furthestCkpt[dueLevel]+1e-9
 		ev, ok := failure.Event{}, false
-		if !cfg.DisableFailuresDuringCkpt {
-			ev, ok = nextFailure(wall)
+		if !r.cfg.DisableFailuresDuringCkpt {
+			ev, ok = r.nextFailure(r.wall)
 		}
-		if ok && ev.Time < wall+dur {
+		if ok && ev.Time < r.wall+dur {
 			// Checkpoint aborted by a failure: elapsed time is wasted.
-			consumeFailure()
-			wasted := ev.Time - wall
+			r.havePending = false
+			wasted := ev.Time - r.wall
 			if redo {
-				res.Rollback += wasted
+				r.res.Rollback += wasted
 			} else {
-				res.Checkpoint += wasted
+				r.res.Checkpoint += wasted
 			}
-			if tracing() {
-				redoArg := 0.0
-				if redo {
-					redoArg = 1
-				}
-				rec.Span(cfg.ObsTrack, "checkpoint-abort", wall, wasted, map[string]float64{
-					"level": float64(dueLevel + 1), "progress": progress, "redo": redoArg,
-				})
+			if r.tracing() {
+				r.checkpointSpan("checkpoint-abort", dueLevel, wasted, redo)
 			}
-			wall = ev.Time
-			record(EvCheckpointAbort, dueLevel)
-			handleFailure(ev.Level)
+			r.wall = ev.Time
+			r.record(EvCheckpointAbort, dueLevel)
+			r.handleFailure(ev.Level)
 			continue
 		}
-		if tracing() {
-			redoArg := 0.0
-			if redo {
-				redoArg = 1
-			}
-			rec.Span(cfg.ObsTrack, "checkpoint", wall, dur, map[string]float64{
-				"level": float64(dueLevel + 1), "progress": progress, "redo": redoArg,
-			})
+		if r.tracing() {
+			r.checkpointSpan("checkpoint", dueLevel, dur, redo)
 		}
-		wall += dur
+		r.wall += dur
 		if redo {
-			res.Rollback += dur
+			r.res.Rollback += dur
 		} else {
-			res.Checkpoint += dur
+			r.res.Checkpoint += dur
 		}
-		record(EvCheckpointDone, dueLevel)
-		res.CheckpointsTaken[dueLevel]++
-		lastCkpt[dueLevel] = progress
-		if corrupt != nil {
-			bad := rng.Float64() < cfg.SilentCorruptionProb
-			corrupt[dueLevel] = bad
+		r.record(EvCheckpointDone, dueLevel)
+		r.res.CheckpointsTaken[dueLevel]++
+		r.lastCkpt[dueLevel] = r.progress
+		if r.corrupt != nil {
+			bad := r.rng.Float64() < r.cfg.SilentCorruptionProb
+			r.corrupt[dueLevel] = bad
 			if bad {
-				res.SilentCorrupted++
+				r.res.SilentCorrupted++
 			}
 		}
-		if progress > furthestCkpt[dueLevel] {
-			furthestCkpt[dueLevel] = progress
+		if r.progress > r.furthestCkpt[dueLevel] {
+			r.furthestCkpt[dueLevel] = r.progress
 		}
 		// Advance the mark of this level and skip any lower-level mark due
 		// at the same progress point: the higher-level file restores those
 		// failure classes too (the restore lookup scans all levels ≥ c),
 		// so a separate lower-level checkpoint there would be pure waste.
 		for i := 0; i <= dueLevel; i++ {
-			if m := markProgress(i); !math.IsInf(m, 1) && m < progress+1e-9 {
-				nextMark[i]++
+			if m := r.mark[i]; !math.IsInf(m, 1) && m < r.progress+1e-9 {
+				r.nextMark[i]++
+				r.mark[i] = r.markAt(i)
 			}
 		}
 	}
 
-	res.WallClock = wall
-	record(EvCompletion, -1)
-	if tracing() {
-		rec.Instant(cfg.ObsTrack, "complete", wall, map[string]float64{"progress": progress})
+	r.res.WallClock = r.wall
+	r.record(EvCompletion, -1)
+	if r.tracing() {
+		r.rec.Instant(r.cfg.ObsTrack, "complete", r.wall, map[string]float64{"progress": r.progress})
 	}
-	rec.Count("sim.runs", 1)
-	rec.Count("sim.failures", int64(res.TotalFailures()))
+	r.rec.Count("sim.runs", 1)
+	r.rec.Count("sim.failures", int64(r.res.TotalFailures()))
 	ckpts := 0
-	for _, v := range res.CheckpointsTaken {
+	for _, v := range r.res.CheckpointsTaken {
 		ckpts += v
 	}
-	rec.Count("sim.checkpoints", int64(ckpts))
-	if res.SilentCorrupted > 0 {
-		rec.Count("sim.silent_corrupted", int64(res.SilentCorrupted))
+	r.rec.Count("sim.checkpoints", int64(ckpts))
+	if r.res.SilentCorrupted > 0 {
+		r.rec.Count("sim.silent_corrupted", int64(r.res.SilentCorrupted))
 	}
-	if res.SilentDetected > 0 {
-		rec.Count("sim.silent_detected", int64(res.SilentDetected))
+	if r.res.SilentDetected > 0 {
+		r.rec.Count("sim.silent_detected", int64(r.res.SilentDetected))
 	}
-	if res.Truncated {
-		rec.Count("sim.truncated", 1)
+	if r.res.Truncated {
+		r.rec.Count("sim.truncated", 1)
 	}
-	rec.Observe("sim.wallclock_days", wall/failure.SecondsPerDay)
-	return res, nil
+	r.rec.Observe("sim.wallclock_days", r.wall/failure.SecondsPerDay)
+}
+
+// checkpointSpan emits a completed or aborted checkpoint's span.
+func (r *runner) checkpointSpan(name string, level int, dur float64, redo bool) {
+	redoArg := 0.0
+	if redo {
+		redoArg = 1
+	}
+	r.rec.Span(r.cfg.ObsTrack, name, r.wall, dur, map[string]float64{
+		"level": float64(level + 1), "progress": r.progress, "redo": redoArg,
+	})
 }
 
 // advanceWork attributes a slice of executed work [from, to) to Productive
