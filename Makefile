@@ -57,8 +57,8 @@ short:
 	$(GO) test -short ./...
 
 # Bounded fuzz sessions for the Spec-validation, cache-key,
-# linter-robustness, model-evaluator-vs-oracle, simulator-runner-vs-oracle
-# and failure-trace-decoder invariants.
+# linter-robustness, model-evaluator-vs-oracle, simulator-runner-vs-oracle,
+# failure-trace-decoder and JSON-spec-loader invariants.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeNeverPanics -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzKeyEquality -fuzztime 30s ./internal/sweep
@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEvaluatorMatchesScalar -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzRunMatchesReference -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 30s ./internal/failure
+	$(GO) test -run '^$$' -fuzz FuzzLoadSpec -fuzztime 30s ./internal/cli
 
 # Regenerate the golden reference after an intentional numbers change.
 # Review the diff before committing: every change here is a change to the

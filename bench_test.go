@@ -320,8 +320,9 @@ func BenchmarkAblationDistribution(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationEngine compares the event-driven engine against the
-// paper-style 1-second tick engine on the same configuration.
+// BenchmarkAblationEngine times the event-driven engine on the ablation
+// configuration. Its statistical equivalence with the paper-style
+// 1-second tick loop is checked by internal/sim's TestEventTickEquivalence.
 func BenchmarkAblationEngine(b *testing.B) {
 	sc := experiments.EvalScenario(3e6, "4-2-1-0.5")
 	p := sc.Params()
@@ -334,14 +335,6 @@ func BenchmarkAblationEngine(b *testing.B) {
 		rng := stats.NewRNG(7)
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Run(cfg, rng.Split()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tick", func(b *testing.B) {
-		rng := stats.NewRNG(7)
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunTicks(cfg, 1, rng.Split()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -21,10 +21,7 @@
 // on virtual time (byte-identical for every -workers setting), and -pprof
 // serves net/http/pprof on an address or writes cpu/heap profiles to a
 // directory. Both export flags cover the single-cell path too — a single
-// ckptopt run is just a one-job sweep. -serve ADDR exposes live telemetry
-// while running (/metrics OpenMetrics, /healthz, /events SSE off the
-// streaming flight recorder, /debug/pprof); serving perturbs only the
-// volatile metrics section.
+// ckptopt run is just a one-job sweep.
 package main
 
 import (
@@ -56,7 +53,6 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline to this file")
 		pprofFlag  = flag.String("pprof", "", "serve net/http/pprof on addr (host:port) or write cpu/heap profiles to a directory")
-		serveAddr  = flag.String("serve", "", "serve live telemetry on addr while running (/metrics OpenMetrics, /healthz, /events, /debug/pprof)")
 	)
 	flag.Parse()
 
@@ -68,20 +64,6 @@ func main() {
 		defer stop()
 	}
 	collector := obs.NewCollector()
-	// -serve mirrors cmd/experiments: the flight recorder observes beside
-	// the collector (Tee), and serving only touches volatile metrics, so
-	// exported artifacts match an unserved run's deterministic section.
-	rec := obs.Recorder(collector)
-	if *serveAddr != "" {
-		stream := obs.NewStream(0)
-		rec = obs.Tee(collector, stream)
-		ln, err := cli.Serve(*serveAddr, cli.ObsMux(collector, stream))
-		if err != nil {
-			log.Fatalf("-serve %s: %v", *serveAddr, err)
-		}
-		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "ckptopt: serving telemetry on http://%s\n", ln.Addr())
-	}
 	writeArtifacts := func() {
 		if *metricsOut != "" {
 			if err := cli.WriteMetrics(collector.Registry, *metricsOut); err != nil {
@@ -111,7 +93,7 @@ func main() {
 		}
 		outcomes := mlckpt.Sweep(
 			[]mlckpt.SweepJob{{Spec: spec, Policy: policies[0]}},
-			mlckpt.SweepOptions{Obs: rec, Clock: obs.WallClock},
+			mlckpt.SweepOptions{Obs: collector, Clock: obs.WallClock},
 		)
 		if err := outcomes[0].Err; err != nil {
 			log.Fatal(err)
@@ -159,7 +141,7 @@ func main() {
 		Workers:  *workers,
 		RootSeed: *seed,
 		Progress: cli.Progress(os.Stderr, "sweep"),
-		Obs:      rec,
+		Obs:      collector,
 		Clock:    obs.WallClock,
 	})
 	failed := 0

@@ -30,11 +30,6 @@
 //	                   byte-identical for every -workers setting
 //	-pprof TARGET      addr ("localhost:6060") serves net/http/pprof;
 //	                   anything else is a directory for cpu/heap profiles
-//	-serve ADDR        serve live telemetry while running: /metrics
-//	                   (OpenMetrics), /healthz, /events (SSE off the
-//	                   streaming flight recorder), /debug/pprof. Serving
-//	                   perturbs only the volatile metrics section, so the
-//	                   -metrics-out/-trace-out artifacts stay byte-identical
 //
 // A failing experiment no longer aborts the invocation: the remaining ids
 // still run, a summary lists the failures, and the exit status is 1.
@@ -74,8 +69,8 @@ func main() {
 }
 
 // run is main behind testable seams — explicit args, explicit writers, an
-// exit code instead of os.Exit — so the serve/artifact composition
-// contract is pinned by in-process tests (main_test.go).
+// exit code instead of os.Exit — so the CLI contract is pinned by
+// in-process tests (main_test.go).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -87,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsOut = fs.String("metrics-out", "", "write a JSON metrics snapshot to this file")
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline to this file")
 		pprofFlag  = fs.String("pprof", "", "serve net/http/pprof on addr (host:port) or write cpu/heap profiles to a directory")
-		serveAddr  = fs.String("serve", "", "serve live telemetry on addr while running (/metrics OpenMetrics, /healthz, /events, /debug/pprof)")
 		replayFile = fs.String("replay", "", "replay a recorded failure trace (failure JSONL, docs/FAULTS.md) and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -143,28 +137,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	collector := obs.NewCollector()
 	cache := sweep.NewCache()
 
-	// -serve attaches the streaming flight recorder beside the collector
-	// and exposes both over HTTP for the lifetime of the run. The stream
-	// only ever observes (Tee), so the -metrics-out/-trace-out artifacts of
-	// a served run are byte-identical to an unserved run's up to the
-	// volatile section (pinned by TestServeComposesWithArtifacts).
-	rec := obs.Recorder(collector)
-	if *serveAddr != "" {
-		stream := obs.NewStream(0)
-		rec = obs.Tee(collector, stream)
-		ln, err := cli.Serve(*serveAddr, cli.ObsMux(collector, stream))
-		if err != nil {
-			return fail("-serve %s: %v", *serveAddr, err)
-		}
-		defer ln.Close()
-		fmt.Fprintf(stderr, "experiments: serving telemetry on http://%s\n", ln.Addr())
-	}
-
 	grid := func(id string) experiments.Grid {
 		g := experiments.Grid{
 			Workers: *workers,
 			Cache:   cache,
-			Obs:     rec,
+			Obs:     collector,
 			Clock:   obs.WallClock,
 		}
 		if !*noProgress {
@@ -185,8 +162,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runtime.ReadMemStats(&ms)
 		st := figStat{id: id, wall: wall, allocs: ms.Mallocs - allocs0, failed: err != nil}
 		stats = append(stats, st)
-		rec.CountVolatile("experiments."+id+".wall_ms", wall.Milliseconds())
-		rec.CountVolatile("experiments."+id+".allocs", int64(st.allocs))
+		collector.CountVolatile("experiments."+id+".wall_ms", wall.Milliseconds())
+		collector.CountVolatile("experiments."+id+".allocs", int64(st.allocs))
 		if err != nil {
 			failures = append(failures, id)
 			fmt.Fprintf(stderr, "experiments: %s: %v\n", id, err)
@@ -199,9 +176,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// functions of the job set (deterministic); how many of the hits
 	// coalesced onto in-flight computations is scheduling (volatile).
 	hits, misses := cache.Stats()
-	rec.Count("sweep.cache.hits", int64(hits))
-	rec.Count("sweep.cache.misses", int64(misses))
-	rec.CountVolatile("sweep.cache.coalesced", int64(cache.Coalesced()))
+	collector.Count("sweep.cache.hits", int64(hits))
+	collector.Count("sweep.cache.misses", int64(misses))
+	collector.CountVolatile("sweep.cache.coalesced", int64(cache.Coalesced()))
 
 	if !*noProgress {
 		printSummary(stderr, collector, stats, len(ids)-len(failures), len(failures))

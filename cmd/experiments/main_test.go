@@ -2,84 +2,9 @@ package main
 
 import (
 	"bytes"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"mlckpt/internal/obs"
 )
-
-// runArtifacts invokes run() with -metrics-out/-trace-out into a temp dir
-// and returns the two artifact files.
-func runArtifacts(t *testing.T, extra ...string) (metrics, trace []byte) {
-	t.Helper()
-	dir := t.TempDir()
-	mPath, tPath := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
-	args := append([]string{"-quick", "-no-progress", "-metrics-out", mPath, "-trace-out", tPath}, extra...)
-	args = append(args, "attrib")
-	var stderr bytes.Buffer
-	if code := run(args, io.Discard, &stderr); code != 0 {
-		t.Fatalf("run(%v) = %d\n%s", args, code, stderr.String())
-	}
-	m, err := os.ReadFile(mPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := os.ReadFile(tPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, tr
-}
-
-// stripVolatile parses a metrics artifact and re-serializes it without
-// its volatile section and capture stamp.
-func stripVolatile(t *testing.T, raw []byte) string {
-	t.Helper()
-	snap, err := obs.ValidateMetricsJSON(raw)
-	if err != nil {
-		t.Fatalf("artifact invalid: %v", err)
-	}
-	snap.StripVolatile()
-	out, err := snap.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
-// TestServeComposesWithArtifacts pins the -serve contract: attaching the
-// live telemetry server (flight recorder teed beside the collector) must
-// not change the deterministic artifacts — the trace is byte-identical
-// and the metrics differ only in their volatile section.
-func TestServeComposesWithArtifacts(t *testing.T) {
-	mPlain, tPlain := runArtifacts(t)
-	mServed, tServed := runArtifacts(t, "-serve", "127.0.0.1:0")
-	if !bytes.Equal(tPlain, tServed) {
-		t.Errorf("trace artifact changed by -serve (%d vs %d bytes)", len(tPlain), len(tServed))
-	}
-	if a, b := stripVolatile(t, mPlain), stripVolatile(t, mServed); a != b {
-		t.Errorf("deterministic metrics changed by -serve:\n--- plain ---\n%s\n--- served ---\n%s", a, b)
-	}
-}
-
-// TestServeAnnouncesAddress pins the stderr announcement of the bound
-// address (the handle a user follows to the live endpoints; the endpoint
-// behavior itself is covered by internal/cli's serve tests).
-func TestServeAnnouncesAddress(t *testing.T) {
-	dir := t.TempDir()
-	var stderr bytes.Buffer
-	code := run([]string{"-no-progress", "-serve", "127.0.0.1:0",
-		"-metrics-out", filepath.Join(dir, "m.json"), "fig1"}, io.Discard, &stderr)
-	if code != 0 {
-		t.Fatalf("run = %d\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "serving telemetry on http://127.0.0.1:") {
-		t.Errorf("no serve announcement on stderr:\n%s", stderr.String())
-	}
-}
 
 // TestRunUnknownIDFails: one bad id fails the invocation (exit 1) but
 // does not abort the other ids.

@@ -33,6 +33,31 @@ func TestTableSpeedupKind(t *testing.T) {
 	}
 }
 
+// TestTableSpeedupDefaultBaseline: a "table" spec without baselineScale
+// takes N_b from the peak sample, the ideal scale the SpeedupSpec doc
+// promises, instead of the (ignored, zero) IdealScale field.
+func TestTableSpeedupDefaultBaseline(t *testing.T) {
+	spec := PaperSpec(3e6, []float64{16, 12, 8, 4})
+	spec.Speedup = SpeedupSpec{
+		Kind:   "table",
+		Points: [][2]float64{{1, 1}, {1e3, 500}, {1e4, 2000}, {1e5, 1500}},
+	}
+	p, err := spec.Params()
+	if err != nil {
+		t.Fatalf("table spec rejected: %v", err)
+	}
+	if p.Rates.Baseline != 1e4 {
+		t.Errorf("baseline = %g, want the peak sample's scale 1e4", p.Rates.Baseline)
+	}
+	plan, err := Optimize(spec, MLOptScale)
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	if !plan.Converged || plan.Scale <= 0 || plan.Scale > 1e4 {
+		t.Errorf("plan = %+v, want a converged scale in (0, 1e4]", plan)
+	}
+}
+
 func TestTableSpeedupInvalid(t *testing.T) {
 	spec := PaperSpec(1e5, []float64{4, 2})
 	spec.Speedup = SpeedupSpec{Kind: "table", Points: [][2]float64{{1, 1}}}

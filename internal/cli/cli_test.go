@@ -1,8 +1,10 @@
 package cli
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,17 +12,30 @@ import (
 	"mlckpt"
 )
 
+// tableSpecJSON is a "table" speedup spec without baselineScale: N_b must
+// default to the peak sample's scale (1e4), not to the ignored idealScale.
+const tableSpecJSON = `{"teCoreDays":3e6,` +
+	`"speedup":{"kind":"table","points":[[1,1],[1e3,500],[1e4,2000],[1e5,1500]]},` +
+	`"levels":[{"checkpointConst":0.866},{"checkpointConst":2.586},` +
+	`{"checkpointConst":3.886},{"checkpointConst":5.5,"checkpointSlope":0.0212}],` +
+	`"allocSeconds":60,"failuresPerDay":[16,12,8,4]}`
+
+func writeFile(t testing.TB, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func writeSpec(t *testing.T, spec mlckpt.Spec) string {
 	t.Helper()
 	blob, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeFile(t, blob)
 }
 
 func TestLoadSpecRoundTrip(t *testing.T) {
@@ -56,6 +71,80 @@ func TestLoadSpecInvalidProblem(t *testing.T) {
 	if _, err := LoadSpec(writeSpec(t, bad)); !errors.Is(err, ErrCLI) {
 		t.Errorf("err = %v", err)
 	}
+}
+
+func TestLoadSpecTableWithoutBaseline(t *testing.T) {
+	spec, err := LoadSpec(writeFile(t, []byte(tableSpecJSON)))
+	if err != nil {
+		t.Fatalf("LoadSpec: %v", err)
+	}
+	plan, err := mlckpt.Optimize(spec, mlckpt.MLOptScale)
+	if err != nil {
+		t.Fatalf("loaded table spec does not optimize: %v", err)
+	}
+	if !plan.Converged || plan.Scale <= 0 || plan.Scale > 1e4 {
+		t.Errorf("plan = %+v, want a converged scale in (0, 1e4]", plan)
+	}
+}
+
+// FuzzLoadSpec feeds arbitrary bytes to LoadSpec through a file. Every
+// input either fails with an error wrapping ErrCLI, or loads a spec whose
+// model parameters carry a finite, positive baseline scale and finite,
+// non-negative failure rates, and whose JSON encoding loads back to the
+// same encoding.
+func FuzzLoadSpec(f *testing.F) {
+	paper := mlckpt.PaperSpec(3e6, []float64{16, 12, 8, 4})
+	for _, mut := range []func(*mlckpt.Spec){
+		func(*mlckpt.Spec) {},
+		func(s *mlckpt.Spec) { s.TeCoreDays = -1 },
+		func(s *mlckpt.Spec) { s.FailuresPerDay = []float64{16, -4, 8, 4} },
+	} {
+		s := paper
+		mut(&s)
+		blob, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Add([]byte(tableSpecJSON))
+	f.Add([]byte("{nope"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := LoadSpec(writeFile(t, data))
+		if err != nil {
+			if !errors.Is(err, ErrCLI) {
+				t.Fatalf("error does not wrap ErrCLI: %v", err)
+			}
+			return
+		}
+		p, err := spec.Params()
+		if err != nil {
+			t.Fatalf("loaded spec fails Params: %v", err)
+		}
+		if b := p.Rates.Baseline; !(b > 0) || math.IsInf(b, 1) {
+			t.Fatalf("baseline scale %g, want finite and positive", b)
+		}
+		for i, r := range p.Rates.PerDay {
+			if !(r >= 0) || math.IsInf(r, 1) {
+				t.Fatalf("level %d failure rate %g, want finite and non-negative", i+1, r)
+			}
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("loaded spec does not encode: %v", err)
+		}
+		back, err := LoadSpec(writeFile(t, enc))
+		if err != nil {
+			t.Fatalf("re-encoded spec does not load: %v", err)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("reloaded spec does not encode: %v", err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatalf("encoding does not round-trip:\n%s\n%s", enc, again)
+		}
+	})
 }
 
 func TestPaperSpecFromFlags(t *testing.T) {

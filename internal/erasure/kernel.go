@@ -18,7 +18,7 @@
 // bounds checks.
 //
 // Why striping: shards are split into cache-sized chunks and fanned across
-// at most SetWorkers goroutines. Every output byte is computed by exactly
+// at most GOMAXPROCS goroutines. Every output byte is computed by exactly
 // one worker using the same arithmetic, so the result is byte-identical
 // for any worker count — the same invariant the sweep engine enforces.
 package erasure

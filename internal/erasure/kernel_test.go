@@ -150,7 +150,7 @@ func TestEncodeStripedDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetWorkers(workers)
+		c.workers = workers
 		got, err := c.Encode(data)
 		if err != nil {
 			t.Fatal(err)
@@ -217,14 +217,13 @@ func TestReconstructRandomErasures(t *testing.T) {
 
 // TestEncodeIntoSteadyStateAllocs pins the zero-allocation contract of the
 // buffer-reusing API on the single-goroutine path (the striped path
-// allocates its worker pool, which is the point of SetWorkers(1) for
-// allocation-sensitive callers).
+// allocates its worker pool).
 func TestEncodeIntoSteadyStateAllocs(t *testing.T) {
 	c, err := New(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetWorkers(1)
+	c.workers = 1
 	data := makeShards(8, 4096, 7)
 	parity := make([][]byte, 2)
 	for i := range parity {
@@ -334,7 +333,7 @@ func BenchmarkEncodeSerial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.SetWorkers(1)
+	c.workers = 1
 	size := 4 << 20
 	data := benchShards(8, size)
 	parity := make([][]byte, 2)

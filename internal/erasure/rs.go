@@ -19,7 +19,7 @@ type Code struct {
 	K, M    int
 	matrix  [][]byte     // M×K Cauchy encoding matrix
 	tables  [][]mulTable // split-nibble tables per matrix cell, built once
-	workers int          // striping fan-out; 0 = GOMAXPROCS at encode time
+	workers int          // striping fan-out; 0 = GOMAXPROCS at encode time (tests pin others)
 }
 
 // New creates a code with k data and m parity shards. k+m must not exceed
@@ -43,18 +43,6 @@ func New(k, m int) (*Code, error) {
 		c.tables[i] = makeMulTables(row)
 	}
 	return c, nil
-}
-
-// SetWorkers bounds the worker pool of the striped encode/reconstruct
-// kernels: n ≤ 0 restores the default (GOMAXPROCS at call time), n == 1
-// forces single-goroutine operation. Outputs are byte-identical for every
-// setting; only throughput changes. Not safe to call concurrently with
-// Encode/Reconstruct on the same Code.
-func (c *Code) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.workers = n
 }
 
 // shardSize validates that every non-nil shard has one common length and

@@ -1,14 +1,11 @@
-// Package eventq is the deterministic virtual-time event queue shared by
-// the discrete-event engines in this repository: the mpisim rank scheduler
-// (internal/mpisim, which resumes the runnable rank with the smallest
-// virtual clock) and the tick-quantized simulator twin (internal/sim
-// RunTicks, which jumps between interesting tick boundaries instead of
-// iterating every tick).
+// Package eventq is the deterministic virtual-time event queue of the
+// mpisim rank scheduler (internal/mpisim), which resumes the runnable rank
+// with the smallest virtual clock.
 //
 // The queue is a binary min-heap ordered by (time, insertion sequence):
 // ties on virtual time pop in insertion order, so the processing order is
 // a pure function of the push sequence — never of map iteration, hashing,
-// or goroutine scheduling. That property is what lets both engines promise
+// or goroutine scheduling. That property is what lets the scheduler promise
 // byte-identical outputs across hosts and worker counts.
 package eventq
 

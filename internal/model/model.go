@@ -1,9 +1,10 @@
 // Package model implements the analytic expected-wall-clock model of the
 // paper: the multilevel objective E(T_w) (Formula 21) with its expected
 // rollback loss (Formula 18), the single-level specializations (Formulas
-// 5–7 and 13), the self-consistent closed form used in the difficulty
-// analysis (Formula 6), Young's initialization (Formula 25), and the
-// analytic first-order conditions (Formulas 23/24).
+// 5, 7 and 13), Young's initialization (Formula 25), and the analytic
+// first-order conditions (Formulas 23/24). The self-consistent closed form
+// of the difficulty analysis (Formula 6) lives in the package tests, which
+// exhibit its nonconvexity.
 //
 // Everything here is deterministic algebra over a Params value; the solvers
 // in internal/core search these functions, and internal/sim validates them
@@ -210,20 +211,6 @@ func (p *Params) YoungX(n float64, mu []float64, i int) float64 {
 func SingleLevelWallClock(te float64, g speedup.Model, c, r overhead.Cost, alloc, b, x, n float64) float64 {
 	pt := speedup.ParallelTime(g, te, n)
 	return pt + c.At(n)*(x-1) + b*n*(pt/(2*x)+r.At(n)+alloc)
-}
-
-// SelfConsistentSingleLevel evaluates Formula (6): the closed form obtained
-// by eliminating E(Y) = λ(N)·E(T_w), used in the difficulty analysis of
-// Section III-A. λ is the failure rate per second at scale N; the
-// denominator going non-positive means the model predicts a never-ending
-// execution (failure faster than progress), reported as +Inf.
-func SelfConsistentSingleLevel(te, kappa float64, c, r overhead.Cost, alloc, lambda, x, n float64) float64 {
-	num := te/(kappa*n) + c.At(n)*(x-1)
-	den := 1 - lambda*(te/(2*x*kappa*n)+r.At(n)+alloc)
-	if den <= 0 {
-		return math.Inf(1)
-	}
-	return num / den
 }
 
 // Efficiency returns the paper's efficiency (processor utilization) metric:

@@ -190,6 +190,20 @@ func TestConvexityUnderFixedMuCondition(t *testing.T) {
 	}
 }
 
+// selfConsistentSingleLevel evaluates Formula (6): the closed form obtained
+// by eliminating E(Y) = λ(N)·E(T_w), used in the difficulty analysis of
+// Section III-A. λ is the failure rate per second at scale N; the
+// denominator going non-positive means the model predicts a never-ending
+// execution (failure faster than progress), reported as +Inf.
+func selfConsistentSingleLevel(te, kappa float64, c, r overhead.Cost, alloc, lambda, x, n float64) float64 {
+	num := te/(kappa*n) + c.At(n)*(x-1)
+	den := 1 - lambda*(te/(2*x*kappa*n)+r.At(n)+alloc)
+	if den <= 0 {
+		return math.Inf(1)
+	}
+	return num / den
+}
+
 func TestSelfConsistentNonconvexity(t *testing.T) {
 	// Section III-A: the unconditioned Formula (6) is NOT convex in N in
 	// some regimes. Exhibit one: high failure rate, linear-in-N recovery.
@@ -198,14 +212,14 @@ func TestSelfConsistentNonconvexity(t *testing.T) {
 	r := overhead.LinearCost(5, 0.005)
 	lambda := 40.0 / failure.SecondsPerDay / 2 // high failure rate per second
 	f := func(n float64) float64 {
-		return SelfConsistentSingleLevel(te, 0.46, c, r, 60, lambda, 200, n)
+		return selfConsistentSingleLevel(te, 0.46, c, r, 60, lambda, 200, n)
 	}
 	ok, _, _ := numopt.IsConvexOn(f, 1e3, 4e5, 80, 1e-6)
 	if ok {
 		t.Skip("nonconvexity not exhibited at this setting (acceptable: paper only claims existence)")
 	}
 	// Also confirm the denominator guard.
-	if v := SelfConsistentSingleLevel(te, 0.46, c, r, 60, 1.0, 1, 10); !math.IsInf(v, 1) {
+	if v := selfConsistentSingleLevel(te, 0.46, c, r, 60, 1.0, 1, 10); !math.IsInf(v, 1) {
 		t.Errorf("non-positive denominator should yield +Inf, got %g", v)
 	}
 }

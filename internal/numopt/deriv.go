@@ -3,25 +3,18 @@ package numopt
 import "math"
 
 // Derivative estimates f'(x) by central differences with a step scaled to
-// the magnitude of x. It backs the finite-difference cross-checks of the
-// paper's analytic gradients (Formulas 23/24) and the ablation solver that
-// locates N* without the analytic derivative.
+// the magnitude of x. The speedup and overhead tests use it to cross-check
+// analytic derivatives.
 func Derivative(f Func, x float64) float64 {
 	h := 1e-6 * (1 + math.Abs(x))
 	return (f(x+h) - f(x-h)) / (2 * h)
 }
 
-// DerivativeStep is Derivative with an explicit step size.
+// DerivativeStep is Derivative with an explicit step size. It backs the
+// ablation solver that locates N* without the analytic derivative
+// (Formula 24) and the finite-difference checks of that gradient.
 func DerivativeStep(f Func, x, h float64) float64 {
 	return (f(x+h) - f(x-h)) / (2 * h)
-}
-
-// SecondDerivative estimates f”(x) by central differences. Tests use it to
-// probe the sign of ∂²E(T_w)/∂x² and ∂²E(T_w)/∂N² (the convexity claims in
-// Sections III-A and III-C).
-func SecondDerivative(f Func, x float64) float64 {
-	h := 1e-4 * (1 + math.Abs(x))
-	return (f(x+h) - 2*f(x) + f(x-h)) / (h * h)
 }
 
 // PartialDerivative estimates ∂f/∂x_i of a multivariate function at point x.
@@ -32,13 +25,4 @@ func PartialDerivative(f func([]float64) float64, x []float64, i int) float64 {
 	xp[i] += h
 	xm[i] -= h
 	return (f(xp) - f(xm)) / (2 * h)
-}
-
-// Gradient estimates the full gradient of f at x by central differences.
-func Gradient(f func([]float64) float64, x []float64) []float64 {
-	g := make([]float64, len(x))
-	for i := range x {
-		g[i] = PartialDerivative(f, x, i)
-	}
-	return g
 }

@@ -146,27 +146,3 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// Invert returns A⁻¹ by solving against the identity columns.
-func Invert(a *Matrix) (*Matrix, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("numopt: Invert needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for c := 0; c < n; c++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[c] = 1
-		col, err := SolveLinear(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < n; r++ {
-			inv.Set(r, c, col[r])
-		}
-	}
-	return inv, nil
-}

@@ -62,37 +62,6 @@ func TestSolveLinearDimensionErrors(t *testing.T) {
 	}
 }
 
-func TestInvertIdentityRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 5
-	a := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, rng.NormFloat64())
-		}
-		a.Set(i, i, a.At(i, i)+float64(n)) // diagonal dominance
-	}
-	inv, err := Invert(a)
-	if err != nil {
-		t.Fatalf("Invert: %v", err)
-	}
-	prod, err := a.Mul(inv)
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(prod.At(i, j)-want) > 1e-9 {
-				t.Fatalf("A·A⁻¹ (%d,%d) = %g, want %g", i, j, prod.At(i, j), want)
-			}
-		}
-	}
-}
-
 func TestMatrixMulVecMismatch(t *testing.T) {
 	a := NewMatrix(2, 3)
 	if _, err := a.MulVec([]float64{1, 2}); err == nil {

@@ -65,20 +65,6 @@ func FitLine(xs, ys []float64) (intercept, slope float64, err error) {
 	return c[0], c[1], nil
 }
 
-// FitPoly fits a degree-d polynomial c0 + c1·x + … + cd·x^d and returns the
-// coefficients in ascending order.
-func FitPoly(xs, ys []float64, degree int) ([]float64, error) {
-	if degree < 0 {
-		return nil, fmt.Errorf("%w: negative degree", ErrBadFit)
-	}
-	basis := make([]Func, degree+1)
-	for j := range basis {
-		p := j
-		basis[j] = func(x float64) float64 { return math.Pow(x, float64(p)) }
-	}
-	return FitBasis(xs, ys, basis)
-}
-
 // FitQuadraticThroughOrigin fits y ≈ a·x² + b·x (no constant term), the form
 // of the paper's speedup curve g(N) = −κ/(2N^(*))·N² + κN (Formula 12),
 // which must pass through the origin. It returns (a, b).
@@ -116,13 +102,4 @@ func RSquared(ys, pred []float64) float64 {
 		return math.NaN()
 	}
 	return 1 - ssRes/ssTot
-}
-
-// EvalPoly evaluates a polynomial with ascending coefficients at x.
-func EvalPoly(coeffs []float64, x float64) float64 {
-	v := 0.0
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		v = v*x + coeffs[i]
-	}
-	return v
 }

@@ -40,24 +40,6 @@ func TestFitLineNoisy(t *testing.T) {
 	}
 }
 
-func TestFitPolyCubic(t *testing.T) {
-	coeffs := []float64{1, -2, 0.5, 0.25}
-	var xs, ys []float64
-	for x := -3.0; x <= 3.0; x += 0.25 {
-		xs = append(xs, x)
-		ys = append(ys, EvalPoly(coeffs, x))
-	}
-	got, err := FitPoly(xs, ys, 3)
-	if err != nil {
-		t.Fatalf("FitPoly: %v", err)
-	}
-	for i := range coeffs {
-		if math.Abs(got[i]-coeffs[i]) > 1e-8 {
-			t.Errorf("coeff %d = %g, want %g", i, got[i], coeffs[i])
-		}
-	}
-}
-
 func TestFitQuadraticThroughOrigin(t *testing.T) {
 	// The paper's speedup form: g(N) = -κ/(2N*)·N² + κ·N, κ=0.46, N*=1e5.
 	kappa, nstar := 0.46, 1e5
@@ -108,16 +90,6 @@ func TestRSquared(t *testing.T) {
 	}
 	if r := RSquared(ys, []float64{1}); !math.IsNaN(r) {
 		t.Errorf("length mismatch R² = %g, want NaN", r)
-	}
-}
-
-func TestEvalPoly(t *testing.T) {
-	// 3 + 2x + x² at x=4 -> 3+8+16 = 27.
-	if v := EvalPoly([]float64{3, 2, 1}, 4); v != 27 {
-		t.Errorf("EvalPoly = %g, want 27", v)
-	}
-	if v := EvalPoly(nil, 5); v != 0 {
-		t.Errorf("empty poly = %g, want 0", v)
 	}
 }
 

@@ -1,83 +1,11 @@
 package numopt
 
-import (
-	"fmt"
-	"math"
-)
-
-// MinResult reports the outcome of a 1-D minimization.
+// MinResult reports the outcome of a minimization (NelderMead).
 type MinResult struct {
 	X          float64 // abscissa of the located minimum
 	F          float64 // function value at X
 	Iterations int
 	Converged  bool
-}
-
-const invPhi = 0.6180339887498949 // 1/golden ratio
-
-// GoldenSection minimizes a unimodal function on [a, b] by golden-section
-// search. It is derivative-free and therefore safe on the simulated (noisy
-// or piecewise) objectives where Newton steps would be meaningless.
-func GoldenSection(f Func, a, b, tol float64, maxIter int) (MinResult, error) {
-	if math.IsNaN(a) || math.IsNaN(b) || a >= b {
-		return MinResult{}, fmt.Errorf("%w: [%g, %g]", ErrInvalidInterval, a, b)
-	}
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for i := 0; i < maxIter; i++ {
-		if b-a < tol {
-			x := (a + b) / 2
-			return MinResult{X: x, F: f(x), Iterations: i, Converged: true}, nil
-		}
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	x := (a + b) / 2
-	return MinResult{X: x, F: f(x), Iterations: maxIter}, ErrMaxIterations
-}
-
-// MinimizeGrid scans n+1 equally spaced points on [a, b] and returns the
-// best point. It is used to seed golden-section search on objectives that
-// are unimodal only locally, and by the experiment harness to draw the
-// curves in Figure 3.
-func MinimizeGrid(f Func, a, b float64, n int) MinResult {
-	if n < 1 {
-		n = 1
-	}
-	best := MinResult{X: a, F: f(a), Converged: true}
-	for i := 1; i <= n; i++ {
-		x := a + (b-a)*float64(i)/float64(n)
-		if v := f(x); v < best.F {
-			best.X, best.F = x, v
-		}
-	}
-	best.Iterations = n + 1
-	return best
-}
-
-// MinimizeIntGrid minimizes f over the integers in [lo, hi] by exhaustive
-// scan. Execution scales and interval counts are integral in the end, and
-// the final solutions are snapped with this helper when the ranges are
-// small.
-func MinimizeIntGrid(f func(n int) float64, lo, hi int) (int, float64) {
-	bestN, bestF := lo, f(lo)
-	for n := lo + 1; n <= hi; n++ {
-		if v := f(n); v < bestF {
-			bestN, bestF = n, v
-		}
-	}
-	return bestN, bestF
 }
 
 // IsConvexOn probes convexity of f on [a, b] by checking the discrete

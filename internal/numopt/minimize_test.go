@@ -3,63 +3,7 @@ package numopt
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestGoldenSectionParabola(t *testing.T) {
-	f := func(x float64) float64 { return (x - 3) * (x - 3) }
-	r, err := GoldenSection(f, -10, 10, 1e-9, 500)
-	if err != nil {
-		t.Fatalf("GoldenSection: %v", err)
-	}
-	if math.Abs(r.X-3) > 1e-6 {
-		t.Errorf("X = %g, want 3", r.X)
-	}
-}
-
-func TestGoldenSectionAsymmetric(t *testing.T) {
-	// Checkpoint-like objective: a/x + b*x has its minimum at sqrt(a/b).
-	f := func(x float64) float64 { return 100/x + 4*x }
-	r, err := GoldenSection(f, 0.01, 1000, 1e-9, 500)
-	if err != nil {
-		t.Fatalf("GoldenSection: %v", err)
-	}
-	want := math.Sqrt(100.0 / 4.0)
-	if math.Abs(r.X-want) > 1e-5 {
-		t.Errorf("X = %g, want %g", r.X, want)
-	}
-}
-
-func TestGoldenSectionInvalid(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if _, err := GoldenSection(f, 5, 1, 1e-9, 100); err == nil {
-		t.Error("expected invalid-interval error")
-	}
-}
-
-func TestMinimizeGrid(t *testing.T) {
-	f := func(x float64) float64 { return math.Abs(x - 7.25) }
-	r := MinimizeGrid(f, 0, 10, 1000)
-	if math.Abs(r.X-7.25) > 0.011 {
-		t.Errorf("X = %g, want ~7.25", r.X)
-	}
-}
-
-func TestMinimizeIntGrid(t *testing.T) {
-	f := func(n int) float64 { return float64((n - 42) * (n - 42)) }
-	n, v := MinimizeIntGrid(f, 0, 100)
-	if n != 42 || v != 0 {
-		t.Errorf("got (%d, %g), want (42, 0)", n, v)
-	}
-}
-
-func TestMinimizeIntGridSinglePoint(t *testing.T) {
-	f := func(n int) float64 { return float64(n) }
-	n, v := MinimizeIntGrid(f, 5, 5)
-	if n != 5 || v != 5 {
-		t.Errorf("got (%d, %g), want (5, 5)", n, v)
-	}
-}
 
 func TestIsConvexOn(t *testing.T) {
 	convex := func(x float64) float64 { return x * x }
@@ -69,43 +13,5 @@ func TestIsConvexOn(t *testing.T) {
 	nonconvex := func(x float64) float64 { return math.Sin(x) }
 	if ok, _, _ := IsConvexOn(nonconvex, 0, 2*math.Pi, 41, 1e-9); ok {
 		t.Error("sin flagged convex on a full period")
-	}
-}
-
-// Property: golden-section finds the vertex of randomized parabolas.
-func TestGoldenSectionPropertyParabola(t *testing.T) {
-	prop := func(vertex, scale float64) bool {
-		v := math.Mod(vertex, 50)
-		s := 0.1 + math.Mod(math.Abs(scale), 10)
-		f := func(x float64) float64 { return s * (x - v) * (x - v) }
-		r, err := GoldenSection(f, v-60, v+61, 1e-9, 500)
-		if err != nil {
-			return false
-		}
-		return math.Abs(r.X-v) < 1e-5
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the integer grid minimum is never worse than the value at any
-// scanned point.
-func TestMinimizeIntGridProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		f := func(n int) float64 {
-			x := float64(n) + float64(seed%17)
-			return math.Sin(x) + x*x/1000
-		}
-		n, v := MinimizeIntGrid(f, -50, 50)
-		for k := -50; k <= 50; k++ {
-			if f(k) < v {
-				return false
-			}
-		}
-		return n >= -50 && n <= 50
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,5 +1,5 @@
 // Package numopt provides the numerical-optimization substrate used by the
-// checkpoint-model solvers: root finding, fixed-point iteration, 1-D
+// checkpoint-model solvers: bisection root finding, Nelder–Mead
 // minimization, dense linear algebra, least-squares fitting, and
 // finite-difference derivatives.
 //
@@ -73,131 +73,4 @@ func Bisect(f Func, a, b, tol float64, maxIter int) (RootResult, error) {
 		}
 	}
 	return RootResult{Root: mid, FRoot: fm, Iterations: maxIter}, ErrMaxIterations
-}
-
-// Brent finds a root of f in a bracketing interval [a, b] using Brent's
-// method (inverse quadratic interpolation guarded by bisection). It
-// converges superlinearly on smooth functions while retaining bisection's
-// robustness.
-func Brent(f Func, a, b, tol float64, maxIter int) (RootResult, error) {
-	if math.IsNaN(a) || math.IsNaN(b) || a >= b {
-		return RootResult{}, fmt.Errorf("%w: [%g, %g]", ErrInvalidInterval, a, b)
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return RootResult{Root: a, Converged: true}, nil
-	}
-	if fb == 0 {
-		return RootResult{Root: b, Converged: true}, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return RootResult{}, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	// Ensure |f(b)| <= |f(a)|: b is the best guess.
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b = b, a
-		fa, fb = fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < maxIter; i++ {
-		if fb == 0 || math.Abs(b-a) < tol {
-			return RootResult{Root: b, FRoot: fb, Iterations: i, Converged: true}, nil
-		}
-		var s float64
-		//lint:allow floateq exact distinctness guards the (fa-fc)/(fb-fc) divisions below; a tolerance would reintroduce the division-by-near-zero it prevents
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant step.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if cond {
-			s = a + (b-a)/2
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		d = c
-		c, fc = b, fb
-		if math.Signbit(fa) != math.Signbit(fs) {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
-	}
-	return RootResult{Root: b, FRoot: fb, Iterations: maxIter}, ErrMaxIterations
-}
-
-// Newton finds a root of f starting from x0 using Newton-Raphson with the
-// supplied derivative df. It falls back on halving the step when an iterate
-// leaves the finite domain. Newton is used in tests to cross-check the
-// bisection-based solvers.
-func Newton(f, df Func, x0, tol float64, maxIter int) (RootResult, error) {
-	x := x0
-	for i := 0; i < maxIter; i++ {
-		fx := f(x)
-		if math.Abs(fx) < tol {
-			return RootResult{Root: x, FRoot: fx, Iterations: i, Converged: true}, nil
-		}
-		d := df(x)
-		if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-			return RootResult{Root: x, FRoot: fx, Iterations: i}, fmt.Errorf("numopt: Newton derivative degenerate at x=%g", x)
-		}
-		step := fx / d
-		next := x - step
-		for j := 0; j < 60 && (math.IsNaN(f(next)) || math.IsInf(f(next), 0)); j++ {
-			step /= 2
-			next = x - step
-		}
-		if math.Abs(next-x) < tol*(1+math.Abs(x)) {
-			return RootResult{Root: next, FRoot: f(next), Iterations: i + 1, Converged: true}, nil
-		}
-		x = next
-	}
-	return RootResult{Root: x, FRoot: f(x), Iterations: maxIter}, ErrMaxIterations
-}
-
-// BracketRoot expands outward from [a, b] by the given growth factor until
-// f changes sign across the interval or maxExpand expansions have been
-// tried. It returns the bracketing interval.
-func BracketRoot(f Func, a, b, factor float64, maxExpand int) (float64, float64, error) {
-	if a >= b {
-		return 0, 0, fmt.Errorf("%w: [%g, %g]", ErrInvalidInterval, a, b)
-	}
-	if factor <= 1 {
-		factor = 1.6
-	}
-	fa, fb := f(a), f(b)
-	for i := 0; i < maxExpand; i++ {
-		if math.Signbit(fa) != math.Signbit(fb) {
-			return a, b, nil
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a -= factor * (b - a)
-			fa = f(a)
-		} else {
-			b += factor * (b - a)
-			fb = f(b)
-		}
-	}
-	return 0, 0, ErrNoBracket
 }

@@ -81,6 +81,71 @@ func OrNop(r Recorder) Recorder {
 	return r
 }
 
+// tee fans every Recorder call out to multiple sinks.
+type tee struct{ sinks []Recorder }
+
+// Tee composes Recorders: every call is forwarded to each non-nil sink in
+// order. It is how an experiment keeps a private collector while
+// forwarding to a shared one. Nil sinks are dropped; zero sinks yield the
+// no-op Recorder, one sink is returned unwrapped.
+func Tee(sinks ...Recorder) Recorder {
+	kept := make([]Recorder, 0, len(sinks))
+	for _, r := range sinks {
+		if r != nil {
+			kept = append(kept, r)
+		}
+	}
+	switch len(kept) {
+	case 0:
+		return Nop()
+	case 1:
+		return kept[0]
+	}
+	return tee{sinks: kept}
+}
+
+func (t tee) Count(name string, delta int64) {
+	for _, r := range t.sinks {
+		r.Count(name, delta)
+	}
+}
+
+func (t tee) Observe(name string, v float64) {
+	for _, r := range t.sinks {
+		r.Observe(name, v)
+	}
+}
+
+func (t tee) CountVolatile(name string, delta int64) {
+	for _, r := range t.sinks {
+		r.CountVolatile(name, delta)
+	}
+}
+
+func (t tee) ObserveVolatile(name string, v float64) {
+	for _, r := range t.sinks {
+		r.ObserveVolatile(name, v)
+	}
+}
+
+func (t tee) MaxVolatile(name string, v float64) {
+	for _, r := range t.sinks {
+		r.MaxVolatile(name, v)
+	}
+}
+
+func (t tee) Span(track, name string, start, dur float64, args map[string]float64) {
+	for _, r := range t.sinks {
+		r.Span(track, name, start, dur, args)
+	}
+}
+
+func (t tee) Instant(track, name string, ts float64, args map[string]float64) {
+	for _, r := range t.sinks {
+		r.Instant(track, name, ts, args)
+	}
+}
+
 // Collector is the standard Recorder implementation: a Registry for
 // metrics plus a Trace for the virtual-time timeline. Both halves are
 // exported so callers can snapshot and serialize them independently.

@@ -267,17 +267,6 @@ func (s Snapshot) Counter(name string) (int64, bool) {
 	return 0, false
 }
 
-// VolatileCounter returns the value of a named counter in the volatile
-// section (false when absent or not a counter).
-func (s Snapshot) VolatileCounter(name string) (int64, bool) {
-	for _, m := range s.Volatile {
-		if m.Name == name && m.Type == "counter" {
-			return m.Value, true
-		}
-	}
-	return 0, false
-}
-
 // StripVolatile zeroes everything a wall clock or the scheduler can
 // influence — the volatile section and the capture stamp — leaving only
 // the deterministic metrics. Tools diffing snapshots across runs or

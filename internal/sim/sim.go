@@ -9,7 +9,8 @@
 // event-driven in continuous time, which is statistically identical for
 // exponential arrivals and orders of magnitude faster, letting the
 // 100-run × 6-case × 4-solution sweeps of Figures 5–7 finish in seconds.
-// A tick-driven twin (RunTicks) exists for the equivalence ablation.
+// The tick-driven twin behind the event-vs-tick ablation lives in the
+// package tests (runTicks, TestEventTickEquivalence).
 //
 // Semantics:
 //

@@ -447,8 +447,8 @@ func TestSilentErrorConfigGuards(t *testing.T) {
 		t.Errorf("prob > 1: %v", err)
 	}
 	cfg.SilentCorruptionProb = 0.5
-	if _, err := RunTicks(cfg, 1, stats.NewRNG(1)); !errors.Is(err, ErrConfig) {
-		t.Errorf("RunTicks with silent errors: %v", err)
+	if _, err := runTicks(cfg, 1, stats.NewRNG(1)); !errors.Is(err, ErrConfig) {
+		t.Errorf("runTicks with silent errors: %v", err)
 	}
 }
 

@@ -8,13 +8,18 @@ import (
 	"mlckpt/internal/stats"
 )
 
-// runTicksDense is the original tick-by-tick loop: every simulated tick is
-// one loop iteration, whether or not anything interesting happens in it.
-// It is kept verbatim as the differential oracle for the jump engine in
-// RunTicks — TestTickJumpMatchesDense replays both over shared seeds and
-// demands identical outcomes. Do not "fix" or optimize this function; its
-// value is that it is the trivially-auditable reference semantics.
-func runTicksDense(cfg Config, tick float64, rng *stats.RNG) (Result, error) {
+// runTicks simulates one execution with the paper's original tick-driven
+// scheme (one tick = tick seconds; the paper uses 1 s). Every simulated
+// tick is one loop iteration, whether or not anything interesting happens
+// in it. It implements the same semantics as Run, quantized to tick
+// boundaries: work, checkpoint and recovery durations are consumed tick by
+// tick, and a failure scheduled inside a tick fires at that tick's end.
+//
+// It is the tick-driven twin for the event-vs-tick ablation
+// (TestEventTickEquivalence); Run is the production path. Do not "fix" or
+// optimize this function: its value is that it is the trivially auditable
+// paper semantics.
+func runTicks(cfg Config, tick float64, rng *stats.RNG) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}

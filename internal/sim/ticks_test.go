@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strconv"
 	"testing"
 
 	"mlckpt/internal/stats"
@@ -13,7 +12,7 @@ func TestRunTicksFailureFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := RunTicks(cfg, 1, stats.NewRNG(1))
+	tk, err := runTicks(cfg, 1, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestEventTickEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := RunTicks(cfg, 1, root.Split())
+		r2, err := runTicks(cfg, 1, root.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +60,7 @@ func TestEventTickEquivalence(t *testing.T) {
 
 func TestRunTicksPortionsSum(t *testing.T) {
 	cfg := testConfig("16-8-4-2", 8000, []float64{60, 30, 12, 6})
-	r, err := RunTicks(cfg, 1, stats.NewRNG(5))
+	r, err := runTicks(cfg, 1, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,134 +78,12 @@ func TestRunTicksPortionsSum(t *testing.T) {
 
 func TestRunTicksValidation(t *testing.T) {
 	bad := testConfig("8-4-2-1", 0, []float64{1, 1, 1, 1})
-	if _, err := RunTicks(bad, 1, stats.NewRNG(1)); err == nil {
+	if _, err := runTicks(bad, 1, stats.NewRNG(1)); err == nil {
 		t.Error("invalid config accepted")
-	}
-	if _, err := runTicksDense(bad, 1, stats.NewRNG(1)); err == nil {
-		t.Error("dense oracle: invalid config accepted")
 	}
 	silent := testConfig("8-4-2-1", 5000, []float64{8, 4, 2, 1})
 	silent.SilentCorruptionProb = 0.1
-	if _, err := RunTicks(silent, 1, stats.NewRNG(1)); err == nil {
+	if _, err := runTicks(silent, 1, stats.NewRNG(1)); err == nil {
 		t.Error("silent-error config accepted")
 	}
-	if _, err := runTicksDense(silent, 1, stats.NewRNG(1)); err == nil {
-		t.Error("dense oracle: silent-error config accepted")
-	}
-}
-
-// tickDiffConfigs are the scenarios the jump engine is differentially
-// tested on: failure-free, failure-heavy, jittered durations, suppressed
-// failure windows, and a horizon-truncated run.
-func tickDiffConfigs() map[string]Config {
-	base := testConfig("16-8-4-2", 8000, []float64{60, 30, 12, 6})
-	jitter := base
-	jitter.JitterRatio = 0.3
-	suppress := base
-	suppress.DisableFailuresDuringCkpt = true
-	suppress.DisableFailuresDuringRecovery = true
-	truncated := testConfig("200-100-50-25", 8000, []float64{60, 30, 12, 6})
-	truncated.MaxWallClock = 900
-	return map[string]Config{
-		"failureFree": testConfig("0-0-0-0", 5000, []float64{40, 20, 10, 5}),
-		"failures":    base,
-		"jitter":      jitter,
-		"suppressed":  suppress,
-		"truncated":   truncated,
-	}
-}
-
-// TestTickJumpMatchesDense is the differential gate for the tick jump
-// engine: RunTicks (eventq-driven, skips boring tick runs) against
-// runTicksDense (the verbatim per-tick loop), over shared seeds. Every
-// skip stops short of the tick in which an event can fire, so both
-// engines consume the failure stream and draw jitter at identical ticks.
-// For ticks whose multiples are exactly representable — 1 s (the paper's
-// quantum), power-of-two fractions, whole seconds — the wall clock,
-// failure counts, checkpoint counts, and truncation flag must match
-// exactly. The float work portions are allowed one rounding per jump (the
-// jump replaces k float additions with one), bounded at 1e-9 relative.
-func TestTickJumpMatchesDense(t *testing.T) {
-	seeds := 60
-	if testing.Short() {
-		seeds = 10
-	}
-	for name, cfg := range tickDiffConfigs() {
-		for _, tick := range []float64{1, 0.5, 3} {
-			for s := 0; s < seeds; s++ {
-				seed := uint64(s + 1)
-				jump, err := RunTicks(cfg, tick, stats.NewRNG(seed))
-				if err != nil {
-					t.Fatalf("%s tick=%g seed=%d: jump: %v", name, tick, s, err)
-				}
-				dense, err := runTicksDense(cfg, tick, stats.NewRNG(seed))
-				if err != nil {
-					t.Fatalf("%s tick=%g seed=%d: dense: %v", name, tick, s, err)
-				}
-				label := func(field string) string {
-					return name + " tick=" + strconv.FormatFloat(tick, 'g', -1, 64) +
-						" seed=" + strconv.Itoa(s) + ": " + field
-				}
-				if jump.WallClock != dense.WallClock {
-					t.Errorf("%s: jump %.17g != dense %.17g", label("WallClock"),
-						jump.WallClock, dense.WallClock)
-				}
-				if jump.Truncated != dense.Truncated {
-					t.Errorf("%s: jump %v != dense %v", label("Truncated"),
-						jump.Truncated, dense.Truncated)
-				}
-				for i := range dense.Failures {
-					if jump.Failures[i] != dense.Failures[i] {
-						t.Errorf("%s: jump %v != dense %v", label("Failures"),
-							jump.Failures, dense.Failures)
-						break
-					}
-				}
-				for i := range dense.CheckpointsTaken {
-					if jump.CheckpointsTaken[i] != dense.CheckpointsTaken[i] {
-						t.Errorf("%s: jump %v != dense %v", label("CheckpointsTaken"),
-							jump.CheckpointsTaken, dense.CheckpointsTaken)
-						break
-					}
-				}
-				for _, f := range []struct {
-					field       string
-					jump, dense float64
-				}{
-					{"Productive", jump.Productive, dense.Productive},
-					{"Checkpoint", jump.Checkpoint, dense.Checkpoint},
-					{"Restart", jump.Restart, dense.Restart},
-					{"Rollback", jump.Rollback, dense.Rollback},
-				} {
-					if stats.RelErr(f.dense, f.jump) > 1e-9 {
-						t.Errorf("%s: jump %.17g != dense %.17g", label(f.field),
-							f.jump, f.dense)
-					}
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkTickEngine pins the point of the jump rewrite: the eventq jump
-// engine against the dense per-tick oracle on the standard failure-heavy
-// ablation scenario.
-func BenchmarkTickEngine(b *testing.B) {
-	cfg := testConfig("16-8-4-2", 8000, []float64{60, 30, 12, 6})
-	b.Run("jump", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunTicks(cfg, 1, stats.NewRNG(42)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := runTicksDense(cfg, 1, stats.NewRNG(42)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -220,24 +220,3 @@ func GoodnessOfFit(m Model, samples []Sample) float64 {
 	}
 	return numopt.RSquared(ys, pred)
 }
-
-// KarpFlatt returns the Karp–Flatt experimentally determined serial
-// fraction e = (1/ψ - 1/N) / (1 - 1/N) for a measured speedup ψ at scale N
-// [33]. A growing e across scales indicates growing parallel overhead.
-func KarpFlatt(speedup, n float64) float64 {
-	if n <= 1 || speedup <= 0 {
-		return math.NaN()
-	}
-	return (1/speedup - 1/n) / (1 - 1/n)
-}
-
-// EstimateKappa approximates κ from a single small/medium-scale probe, the
-// shortcut the paper demonstrates for the Heat Distribution program
-// (speedup 77 at 160 cores → κ ≈ 0.48): κ ≈ speedup/N on the near-linear
-// initial range.
-func EstimateKappa(speedup, n float64) float64 {
-	if n <= 0 {
-		return math.NaN()
-	}
-	return speedup / n
-}

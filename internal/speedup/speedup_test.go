@@ -181,33 +181,6 @@ func TestFitQuadraticRisingTruncatesAtPeak(t *testing.T) {
 	}
 }
 
-func TestKarpFlatt(t *testing.T) {
-	// Perfect linear speedup -> serial fraction 0.
-	if e := KarpFlatt(64, 64); math.Abs(e) > 1e-12 {
-		t.Errorf("e = %g, want 0", e)
-	}
-	// Amdahl with σ=0.02 must be recovered exactly.
-	a := Amdahl{SerialFraction: 0.02, MaxScale: 1e6}
-	e := KarpFlatt(a.Speedup(256), 256)
-	if math.Abs(e-0.02) > 1e-9 {
-		t.Errorf("e = %g, want 0.02", e)
-	}
-	if !math.IsNaN(KarpFlatt(10, 1)) || !math.IsNaN(KarpFlatt(0, 8)) {
-		t.Error("degenerate inputs should yield NaN")
-	}
-}
-
-func TestEstimateKappa(t *testing.T) {
-	// The paper's shortcut: speedup 77 at 160 cores -> κ ≈ 0.48.
-	k := EstimateKappa(77, 160)
-	if math.Abs(k-0.48125) > 1e-9 {
-		t.Errorf("κ = %g", k)
-	}
-	if !math.IsNaN(EstimateKappa(1, 0)) {
-		t.Error("zero scale should yield NaN")
-	}
-}
-
 func TestModelStrings(t *testing.T) {
 	models := []Model{
 		Linear{0.5, 1e6},

@@ -32,6 +32,7 @@ package mlckpt
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"mlckpt/internal/core"
 	"mlckpt/internal/failure"
@@ -159,7 +160,8 @@ type Spec struct {
 	AllocSeconds float64 `json:"allocSeconds"`
 	// FailuresPerDay holds r_1..r_L at the baseline scale.
 	FailuresPerDay []float64 `json:"failuresPerDay"`
-	// BaselineScale is N_b; zero defaults to Speedup.IdealScale.
+	// BaselineScale is N_b; zero defaults to the speedup model's ideal
+	// scale N^(*) (for "table", the scale of the peak sample).
 	BaselineScale float64 `json:"baselineScale,omitempty"`
 }
 
@@ -178,6 +180,11 @@ func (s Spec) Params() (*model.Params, error) {
 	if len(s.FailuresPerDay) != len(s.Levels) {
 		return nil, fmt.Errorf("%w: %d failure rates for %d levels", ErrSpec, len(s.FailuresPerDay), len(s.Levels))
 	}
+	for i, r := range s.FailuresPerDay {
+		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			return nil, fmt.Errorf("%w: level %d failure rate %g", ErrSpec, i+1, r)
+		}
+	}
 	levels := make([]overhead.Level, len(s.Levels))
 	for i, l := range s.Levels {
 		ck := overhead.Cost{Const: l.CheckpointConst, Coeff: l.CheckpointSlope, H: overhead.LinearN, Cap: l.SaturationCap}
@@ -194,7 +201,7 @@ func (s Spec) Params() (*model.Params, error) {
 	}
 	baseline := s.BaselineScale
 	if baseline <= 0 {
-		baseline = s.Speedup.IdealScale
+		baseline = g.IdealScale()
 	}
 	p := &model.Params{
 		Te:      s.TeCoreDays * failure.SecondsPerDay,

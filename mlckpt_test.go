@@ -3,6 +3,7 @@ package mlckpt
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -67,13 +68,16 @@ func TestSpecValidation(t *testing.T) {
 		{"bad speedup kind", func(s *Spec) { s.Speedup.Kind = "cubic" }},
 		{"zero ideal scale", func(s *Spec) { s.Speedup.IdealScale = 0 }},
 		{"zero kappa", func(s *Spec) { s.Speedup.Kappa = 0 }},
+		{"negative rate", func(s *Spec) { s.FailuresPerDay[0] = -4 }},
+		{"NaN rate", func(s *Spec) { s.FailuresPerDay[1] = math.NaN() }},
+		{"infinite rate", func(s *Spec) { s.FailuresPerDay[3] = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := PaperSpec(3e6, []float64{8, 6, 4, 2})
 			tc.mut(&spec)
-			if _, err := spec.Params(); err == nil {
-				t.Error("invalid spec accepted")
+			if _, err := spec.Params(); !errors.Is(err, ErrSpec) {
+				t.Errorf("err = %v, want ErrSpec", err)
 			}
 		})
 	}
