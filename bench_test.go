@@ -29,7 +29,7 @@ func BenchmarkFig1(b *testing.B) {
 // Figure 2 (heat runs up to 128 ranks per iteration).
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(128)
+		r, err := experiments.Fig2Grid(128, experiments.Grid{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func BenchmarkFig3(b *testing.B) {
 // heat+FTI executions vs the event-driven simulator).
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(16, 2, 50)
+		r, err := experiments.Fig4Grid(16, 2, 50, experiments.Grid{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkTab2 regenerates the Table II overhead characterization and fit.
 func BenchmarkTab2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Tab2([]int{128, 256, 512})
+		r, err := experiments.Tab2Grid([]int{128, 256, 512}, experiments.Grid{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkTab2(b *testing.B) {
 // case per iteration; cmd/experiments sweeps all six).
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Eval(3e6, 10, []string{"16-12-8-4"}); err != nil {
+		if _, err := experiments.EvalGrid(3e6, 10, []string{"16-12-8-4"}, experiments.Grid{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func BenchmarkTab3(b *testing.B) {
 // BenchmarkFig6 regenerates the Te=10M-core-day time analysis (one case).
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Eval(10e6, 10, []string{"8-6-4-2"}); err != nil {
+		if _, err := experiments.EvalGrid(10e6, 10, []string{"8-6-4-2"}, experiments.Grid{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkFig7 regenerates the efficiency comparison.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Eval(3e6, 10, []string{"4-3-2-1"})
+		r, err := experiments.EvalGrid(3e6, 10, []string{"4-3-2-1"}, experiments.Grid{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkTab4 regenerates the constant-PFS-cost study (one case).
 func BenchmarkTab4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Tab4(10, []string{"8-6-4-2"}); err != nil {
+		if _, err := experiments.Tab4Grid(10, []string{"8-6-4-2"}, experiments.Grid{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func BenchmarkTab4(b *testing.B) {
 // BenchmarkConvergence regenerates the Algorithm 1 iteration-count study.
 func BenchmarkConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Convergence(nil)
+		r, err := experiments.ConvergenceGrid(nil, experiments.Grid{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkOptimize(b *testing.B) {
 // ranks and doubled real-run averaging.
 func BenchmarkFig4Ranks32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(32, 4, 100)
+		r, err := experiments.Fig4Grid(32, 4, 100, experiments.Grid{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,23 +249,6 @@ func BenchmarkAblationNumericGradN(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationDamping compares undamped Algorithm 1 (the paper's
-// setting) with outer-loop damping.
-func BenchmarkAblationDamping(b *testing.B) {
-	sc := experiments.EvalScenario(3e6, "16-12-8-4")
-	p := sc.Params()
-	for _, d := range []float64{0, 0.3, 0.6} {
-		damping := d
-		b.Run(prettyFloat(damping), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Optimize(p, core.Options{Damping: damping}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationJitter measures the jitter sensitivity of the simulated

@@ -27,7 +27,7 @@ func LoadSpec(path string) (mlckpt.Spec, error) {
 		return mlckpt.Spec{}, fmt.Errorf("%w: parsing %s: %v", ErrCLI, path, err)
 	}
 	if _, err := spec.Params(); err != nil {
-		return mlckpt.Spec{}, fmt.Errorf("%w: %s: %v", ErrCLI, path, err)
+		return mlckpt.Spec{}, fmt.Errorf("%w: %s: %w", ErrCLI, path, err)
 	}
 	return spec, nil
 }

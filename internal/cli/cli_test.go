@@ -7,9 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mlckpt"
+	"mlckpt/internal/overhead"
 )
 
 // tableSpecJSON is a "table" speedup spec without baselineScale: N_b must
@@ -66,10 +68,21 @@ func TestLoadSpecBadJSON(t *testing.T) {
 }
 
 func TestLoadSpecInvalidProblem(t *testing.T) {
-	bad := mlckpt.PaperSpec(3e6, []float64{16, 12, 8, 4})
-	bad.TeCoreDays = -1
-	if _, err := LoadSpec(writeSpec(t, bad)); !errors.Is(err, ErrCLI) {
-		t.Errorf("err = %v", err)
+	for _, mut := range []func(*mlckpt.Spec){
+		func(s *mlckpt.Spec) { s.TeCoreDays = -1 },
+		func(s *mlckpt.Spec) { s.TeCoreDays = 1e304 },
+		func(s *mlckpt.Spec) { s.Levels[3].SaturationCap = -5 },
+		func(s *mlckpt.Spec) { s.Levels[1].CheckpointConst = -1 },
+		func(s *mlckpt.Spec) { s.Levels[3].CheckpointSlope = -0.01 },
+		func(s *mlckpt.Spec) { s.AllocSeconds = -1 },
+		func(s *mlckpt.Spec) { s.BaselineScale = -1 },
+	} {
+		bad := mlckpt.PaperSpec(3e6, []float64{16, 12, 8, 4})
+		mut(&bad)
+		_, err := LoadSpec(writeSpec(t, bad))
+		if !errors.Is(err, ErrCLI) || !errors.Is(err, mlckpt.ErrSpec) {
+			t.Errorf("err = %v, want ErrCLI wrapping ErrSpec", err)
+		}
 	}
 }
 
@@ -89,8 +102,9 @@ func TestLoadSpecTableWithoutBaseline(t *testing.T) {
 
 // FuzzLoadSpec feeds arbitrary bytes to LoadSpec through a file. Every
 // input either fails with an error wrapping ErrCLI, or loads a spec whose
-// model parameters carry a finite, positive baseline scale and finite,
-// non-negative failure rates, and whose JSON encoding loads back to the
+// model parameters carry a finite, positive T_e and baseline scale, a
+// finite, non-negative allocation period, failure rates and cost
+// constants, slopes and caps, and whose JSON encoding loads back to the
 // same encoding.
 func FuzzLoadSpec(f *testing.F) {
 	paper := mlckpt.PaperSpec(3e6, []float64{16, 12, 8, 4})
@@ -98,6 +112,11 @@ func FuzzLoadSpec(f *testing.F) {
 		func(*mlckpt.Spec) {},
 		func(s *mlckpt.Spec) { s.TeCoreDays = -1 },
 		func(s *mlckpt.Spec) { s.FailuresPerDay = []float64{16, -4, 8, 4} },
+		func(s *mlckpt.Spec) {
+			s.Levels = slices.Clone(s.Levels)
+			s.Levels[3].SaturationCap = -5
+		},
+		func(s *mlckpt.Spec) { s.TeCoreDays = 1e304 },
 	} {
 		s := paper
 		mut(&s)
@@ -121,12 +140,27 @@ func FuzzLoadSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("loaded spec fails Params: %v", err)
 		}
+		if !(p.Te > 0) || math.IsInf(p.Te, 1) {
+			t.Fatalf("T_e %g s, want finite and positive", p.Te)
+		}
 		if b := p.Rates.Baseline; !(b > 0) || math.IsInf(b, 1) {
 			t.Fatalf("baseline scale %g, want finite and positive", b)
+		}
+		if a := p.Alloc; !(a >= 0) || math.IsInf(a, 1) {
+			t.Fatalf("allocation period %g, want finite and non-negative", a)
 		}
 		for i, r := range p.Rates.PerDay {
 			if !(r >= 0) || math.IsInf(r, 1) {
 				t.Fatalf("level %d failure rate %g, want finite and non-negative", i+1, r)
+			}
+		}
+		for i, lv := range p.Levels {
+			for _, c := range []overhead.Cost{lv.Checkpoint, lv.Recovery} {
+				for _, v := range []float64{c.Const, c.Coeff, c.Cap} {
+					if !(v >= 0) || math.IsInf(v, 1) {
+						t.Fatalf("level %d cost %+v, want finite, non-negative constant, slope and cap", i+1, c)
+					}
+				}
 			}
 		}
 		enc, err := json.Marshal(spec)

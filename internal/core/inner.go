@@ -11,7 +11,7 @@ import (
 )
 
 // scaleGridN is the scan resolution of the scale search: the gradient is
-// evaluated on scaleGridN+1 equispaced points of [ScaleFloor, ceiling] and
+// evaluated on scaleGridN+1 equispaced points of [scaleFloor, ceiling] and
 // every sign change is bisected.
 const scaleGridN = 64
 
@@ -57,14 +57,14 @@ func newInnerState(p *model.Params) *innerState {
 //     Formula (23):
 //     x_i = sqrt( μ_i·(T_e/g + Σ_{j<i}C_j·x_j) / (2·C_i·(1 + ½Σ_{j>i}μ_j/x_j)) )
 //   - a scale update solving ∂E(T_w)/∂N = 0 (Formula 24) by bisecting every
-//     sign change on [ScaleFloor, N^(*)] and taking the argmin over the
+//     sign change on [scaleFloor, N^(*)] and taking the argmin over the
 //     stationary points, the endpoints, and any cost-saturation caps. On
 //     cap-free problems the derivative is monotone and this reduces to the
 //     paper's single bisection; if the derivative is still negative at
 //     N^(*), the optimum is N^(*) itself (the "very few failures" case).
 //
 // until both stabilize. It leaves the interval counts in st.x and returns
-// the scale and the iterations used. opts must carry its defaults.
+// the scale and the iterations used.
 //
 // The scale search evaluates through model.Evaluator, bit-identical to
 // Params.GradN and Params.WallClock; Options.NumericGradN switches it to
@@ -75,9 +75,6 @@ func (st *innerState) solve(tEst, nInit float64, opts Options) (float64, int, er
 
 	n := nInit
 	ceiling := p.Speedup.IdealScale()
-	if opts.MaxScale > 0 && opts.MaxScale < ceiling {
-		ceiling = opts.MaxScale
-	}
 	if opts.FixedN > 0 {
 		n = opts.FixedN
 	}
@@ -141,11 +138,11 @@ func (st *innerState) solve(tEst, nInit float64, opts Options) (float64, int, er
 				worst = d
 			}
 		}
-		if worst <= opts.InnerTol {
+		if worst <= innerTol {
 			return n, iter, nil
 		}
-		if iter >= opts.InnerMaxIter {
-			return n, iter, fmt.Errorf("%w: inner solve after %d iterations", ErrNoConverge, opts.InnerMaxIter)
+		if iter >= innerMaxIter {
+			return n, iter, fmt.Errorf("%w: inner solve after %d iterations", ErrNoConverge, innerMaxIter)
 		}
 	}
 }
@@ -159,7 +156,7 @@ func (st *innerState) solveScale(opts Options, ceiling float64) (float64, error)
 	if opts.NumericGradN {
 		grad = st.numericGradN
 	}
-	return st.searchScale(grad, st.ev.WallClock, opts.ScaleFloor, ceiling, obs.OrNop(opts.Obs))
+	return st.searchScale(grad, st.ev.WallClock, scaleFloor, ceiling, obs.OrNop(opts.Obs))
 }
 
 // numericGradN is the finite-difference ablation of Formula 24: a central

@@ -11,7 +11,6 @@
 //     iteration on the first-order conditions (Formulas 23/24),
 //     initialized by Young's formula (Formula 25), with N found by
 //     bisection on [1, N^(*)].
-//   - SolveSingleLevelLinear: the closed forms (Formulas 10/11).
 //   - SolveSingleLevelFixedB: the single-level nonlinear iteration
 //     (Formulas 16/17) at a fixed failure coefficient b, used to reproduce
 //     the Figure 3 confirmation study.
@@ -36,31 +35,24 @@ var (
 	ErrNoConverge = errors.New("core: iteration did not converge")
 )
 
+// Fixed solver settings. innerTol is the paper's inner threshold
+// (Section III-C.2); the iteration caps sit well above the 30–40 inner and
+// 7–15 outer iterations the paper observes.
+const (
+	innerTol     = 1e-6
+	innerMaxIter = 500
+	outerMaxIter = 200
+	scaleFloor   = 1.0 // smallest admissible N
+)
+
 // Options tunes the solvers. The zero value picks the paper's settings.
 type Options struct {
-	// InnerTol is the convergence threshold of the inner fixed-point
-	// iteration on (x, N). The paper uses 1e-6 (Section III-C.2).
-	InnerTol float64
-	// InnerMaxIter caps inner iterations (paper observes 30–40; default 500).
-	InnerMaxIter int
 	// OuterTol is δ in Algorithm 1: the threshold on max_i |μ'_i − μ_i|.
 	// The convergence study in Section IV-B uses 1e-12; default 1e-9.
 	OuterTol float64
-	// OuterMaxIter caps outer iterations (paper observes 7–15; default 200).
-	OuterMaxIter int
-	// Damping blends each new outer estimate with the previous one:
-	// T ← (1−d)·T_new + d·T_old. 0 (the paper's choice) is fine for all
-	// realistic failure rates; the ablation bench explores d > 0.
-	Damping float64
 	// FixedN, when positive, pins the execution scale (the "ori-scale"
 	// baselines) and optimizes only the interval counts.
 	FixedN float64
-	// ScaleFloor is the smallest admissible N (default 1).
-	ScaleFloor float64
-	// MaxScale, when positive, caps the admissible N below the speedup
-	// model's ideal scale — the machine simply doesn't have N^(*) cores.
-	// The optimum then sits at min(unconstrained optimum, MaxScale).
-	MaxScale float64
 	// NumericGradN switches the scale search from the analytic Formula (24)
 	// to a finite-difference gradient — the ablation path.
 	NumericGradN bool
@@ -92,20 +84,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.InnerTol <= 0 {
-		o.InnerTol = 1e-6
-	}
-	if o.InnerMaxIter <= 0 {
-		o.InnerMaxIter = 500
-	}
 	if o.OuterTol <= 0 {
 		o.OuterTol = 1e-9
-	}
-	if o.OuterMaxIter <= 0 {
-		o.OuterMaxIter = 200
-	}
-	if o.ScaleFloor <= 0 {
-		o.ScaleFloor = 1
 	}
 	return o
 }

@@ -11,43 +11,6 @@ import (
 	"mlckpt/internal/speedup"
 )
 
-// LinearSolution is the closed-form result of the linear-speedup
-// single-level model.
-type LinearSolution struct {
-	X float64 // optimal number of checkpoint intervals (Formula 10)
-	N float64 // optimal scale (Formula 11)
-}
-
-// SolveSingleLevelLinear computes the closed forms of Section III-C.1 for a
-// linear-speedup application with constant checkpoint cost eps0, constant
-// recovery cost eta0, allocation period alloc, failure coefficient b
-// (μ(N) = b·N) and slope kappa:
-//
-//	x* = sqrt( b·T_e / (2·κ·ε₀) )        (Formula 10)
-//	N* = sqrt( T_e / (κ·b·(η₀ + A)) )    (Formula 11)
-//
-// The scale is capped at maxScale (linear speedup has no interior optimum of
-// its own). te is in seconds.
-func SolveSingleLevelLinear(te, kappa, eps0, eta0, alloc, b, maxScale float64) (LinearSolution, error) {
-	if te <= 0 || kappa <= 0 || eps0 <= 0 || b <= 0 {
-		return LinearSolution{}, fmt.Errorf("%w: need positive te, κ, ε₀, b", model.ErrParams)
-	}
-	if eta0+alloc <= 0 {
-		return LinearSolution{}, fmt.Errorf("%w: η₀ + A must be positive", model.ErrParams)
-	}
-	s := LinearSolution{
-		X: math.Sqrt(b * te / (2 * kappa * eps0)),
-		N: math.Sqrt(te / (kappa * b * (eta0 + alloc))),
-	}
-	if maxScale > 0 && s.N > maxScale {
-		s.N = maxScale
-	}
-	if s.X < 1 {
-		s.X = 1
-	}
-	return s, nil
-}
-
 // FixedBSolution is the result of the single-level nonlinear solve at a
 // fixed failure coefficient.
 type FixedBSolution struct {

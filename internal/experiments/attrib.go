@@ -75,8 +75,8 @@ func AttribGrid(teCoreDays float64, quick bool, g Grid) (AttribResult, error) {
 			if err != nil {
 				return res, fmt.Errorf("attrib cell %s/%v: %w", sc.Spec, pol, err)
 			}
-			solveTrack := fmt.Sprintf("opt/%s/%v#%s", sc.Spec, pol, keySuffix(solveKey))
-			attribTrack := fmt.Sprintf("attrib/%s/%v#%s", sc.Spec, pol, keySuffix(postKey))
+			solveTrack := fmt.Sprintf("opt/%s/%v#%s", sc.Spec, pol, sweep.KeyTag(solveKey))
+			attribTrack := fmt.Sprintf("attrib/%s/%v#%s", sc.Spec, pol, sweep.KeyTag(postKey))
 			jobs = append(jobs, sweep.Job{
 				Name:     fmt.Sprintf("attrib/%s/%v", sc.Spec, pol),
 				SolveKey: solveKey,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -84,6 +85,12 @@ func TestChaosAttributionEngineIndependence(t *testing.T) {
 		}
 		if !rep.Exact {
 			t.Fatalf("engine %v: identity not exact (clipped %g)", engine, rep.Clipped)
+		}
+		// Real runs are the only source of detection spans: verify-on-restore
+		// rejections must land in the detection bucket, second for second.
+		if rep.Detection <= 0 || math.Abs(rep.Detection-rr.DetectionLatency) > 1e-9*rr.DetectionLatency {
+			t.Fatalf("engine %v: detection bucket %v, run measured %v (%d escalations)",
+				engine, rep.Detection, rr.DetectionLatency, rr.Escalations)
 		}
 		return rep.Render()
 	}

@@ -19,15 +19,10 @@ type ConvResult struct {
 	Rows []ConvRow
 }
 
-// Convergence runs Algorithm 1 at the paper's δ=1e-12 on the Table IV
-// scenarios and records the iteration counts.
-func Convergence(specs []string) (ConvResult, error) {
-	return ConvergenceGrid(specs, Grid{})
-}
-
-// ConvergenceGrid is Convergence with the grid's telemetry sink: each
-// scenario's optimizer run traces its outer iterations on track
-// "opt/conv/<spec>". The study itself stays serial — three solves do not
+// ConvergenceGrid runs Algorithm 1 at the paper's δ=1e-12 on the Table IV
+// scenarios and records the iteration counts. Each scenario's optimizer
+// run traces its outer iterations on track "opt/conv/<spec>" into g's
+// telemetry sink. The study itself stays serial — three solves do not
 // need a pool — so only Obs from g is consulted.
 func ConvergenceGrid(specs []string, g Grid) (ConvResult, error) {
 	if len(specs) == 0 {

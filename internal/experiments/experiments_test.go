@@ -9,6 +9,30 @@ import (
 	"mlckpt/internal/failure"
 )
 
+// Gains summarizes ML(opt-scale)'s wall-clock reduction against each other
+// policy per case — the paper's headline 4.3–88% numbers.
+func (r EvalResult) Gains() map[string]map[core.Policy]float64 {
+	byCase := map[string]map[core.Policy]float64{}
+	for _, row := range r.Rows {
+		if byCase[row.Spec] == nil {
+			byCase[row.Spec] = map[core.Policy]float64{}
+		}
+		byCase[row.Spec][row.Outcome.Policy] = row.Outcome.Aggregate.WallClock.Mean
+	}
+	out := map[string]map[core.Policy]float64{}
+	for spec, m := range byCase {
+		base := m[core.MLOptScale]
+		out[spec] = map[core.Policy]float64{}
+		for pol, wct := range m {
+			if pol == core.MLOptScale || wct <= 0 {
+				continue
+			}
+			out[spec][pol] = 1 - base/wct
+		}
+	}
+	return out
+}
+
 func TestFig1PeakShiftsLeft(t *testing.T) {
 	r := Fig1(64)
 	if len(r.Points) != 64 {
@@ -25,7 +49,7 @@ func TestFig1PeakShiftsLeft(t *testing.T) {
 }
 
 func TestFig2Shapes(t *testing.T) {
-	r, err := Fig2(64)
+	r, err := Fig2Grid(64, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +125,7 @@ func TestFig4SimulatorValidation(t *testing.T) {
 	// Scaled-down Figure 4: the abstract simulator must track the real
 	// heat+FTI executions. The paper reports <4% with 100-run means on a
 	// real cluster; at this test's budget we accept <15%.
-	r, err := Fig4(16, 4, 100)
+	r, err := Fig4Grid(16, 4, 100, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +144,7 @@ func TestFig4SimulatorValidation(t *testing.T) {
 }
 
 func TestTab2Shape(t *testing.T) {
-	r, err := Tab2([]int{128, 256, 512})
+	r, err := Tab2Grid([]int{128, 256, 512}, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +178,7 @@ func TestEvalOrderingSmall(t *testing.T) {
 	// Scaled-down Figure 5 on one case: the paper's ordering
 	// ML(opt) < ML(ori) and both multilevel beat both single-level
 	// solutions on simulated wall clock.
-	r, err := Eval(3e6, 12, []string{"16-12-8-4"})
+	r, err := EvalGrid(3e6, 12, []string{"16-12-8-4"}, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +215,7 @@ func TestEvalOrderingSmall(t *testing.T) {
 func TestEvalEfficiencyOrdering(t *testing.T) {
 	// Figure 7's message: SL(opt-scale) has the highest efficiency (it
 	// uses very few cores) and SL(ori-scale) by far the lowest.
-	r, err := Eval(3e6, 10, []string{"8-6-4-2"})
+	r, err := EvalGrid(3e6, 10, []string{"8-6-4-2"}, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +232,7 @@ func TestEvalEfficiencyOrdering(t *testing.T) {
 }
 
 func TestTab3ScalesBelowIdeal(t *testing.T) {
-	r, err := Eval(3e6, 6, []string{"16-12-8-4", "4-2-1-0.5"})
+	r, err := EvalGrid(3e6, 6, []string{"16-12-8-4", "4-2-1-0.5"}, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +257,7 @@ func TestTab3ScalesBelowIdeal(t *testing.T) {
 }
 
 func TestTab4Small(t *testing.T) {
-	r, err := Tab4(8, []string{"16-12-8-4"})
+	r, err := Tab4Grid(8, []string{"16-12-8-4"}, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +296,7 @@ func TestTab4Small(t *testing.T) {
 }
 
 func TestConvergenceCounts(t *testing.T) {
-	r, err := Convergence(nil)
+	r, err := ConvergenceGrid(nil, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +381,7 @@ func TestAblate(t *testing.T) {
 }
 
 func TestFig2BlockDecomposition(t *testing.T) {
-	r, err := Fig2(64)
+	r, err := Fig2Grid(64, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,16 +33,11 @@ type Fig2Result struct {
 	Eddy  Fig2Curve
 }
 
-// Fig2 measures and fits both curves. maxScale caps the largest rank count
-// for the heat runs (the paper uses 1,024; tests pass less).
-func Fig2(maxScale int) (Fig2Result, error) {
-	return Fig2Grid(maxScale, Grid{})
-}
-
-// Fig2Grid is Fig2 with the three curve measurements (heat row, heat
-// block, Jacobi) fanned across the sweep engine. Every measurement is
-// deterministic, so the parallel and serial paths produce identical
-// curves.
+// Fig2Grid measures and fits both curves. maxScale caps the largest rank
+// count for the heat runs (the paper uses 1,024; tests pass less). The
+// three curve measurements (heat row, heat block, Jacobi) fan across the
+// sweep engine. Every measurement is deterministic, so the parallel and
+// serial paths produce identical curves.
 func Fig2Grid(maxScale int, g Grid) (Fig2Result, error) {
 	if maxScale < 8 {
 		maxScale = 8

@@ -40,16 +40,11 @@ type Fig4Result struct {
 // pinned by docs_results_reference.txt.
 const fig4SeedRoot uint64 = 4242
 
-// Fig4 sweeps checkpoint-interval configurations on the four levels.
+// Fig4Grid sweeps checkpoint-interval configurations on the four levels.
 // realRuns/simRuns control the averaging (real runs are the expensive
-// side).
-func Fig4(ranks, realRuns, simRuns int) (Fig4Result, error) {
-	return Fig4Grid(ranks, realRuns, simRuns, Grid{})
-}
-
-// Fig4Grid is Fig4 with every real execution and every simulator batch
-// fanned across the sweep engine. Seeds are pre-drawn in the serial
-// order, so results are identical for any worker count.
+// side). Every real execution and every simulator batch fans across the
+// sweep engine. Seeds are pre-drawn in the serial order, so results are
+// identical for any worker count.
 func Fig4Grid(ranks, realRuns, simRuns int, g Grid) (Fig4Result, error) {
 	if ranks <= 0 {
 		ranks = 32

@@ -36,16 +36,11 @@ type EvalResult struct {
 	Runs       int
 }
 
-// Eval runs the sweep on all CPUs. Overrides with runs > 0 reduce the
-// repetition count (tests); specs defaults to the paper's six cases.
-func Eval(teCoreDays float64, runs int, specs []string) (EvalResult, error) {
-	return EvalGrid(teCoreDays, runs, specs, Grid{})
-}
-
-// EvalGrid is Eval routed through an explicit sweep grid (worker count,
-// shared cache, progress). Results are identical for every Workers
-// setting: each cell's simulator stream is a pure function of the
-// scenario and policy.
+// EvalGrid runs the sweep through the sweep grid g (worker count, shared
+// cache, progress). Overrides with runs > 0 reduce the repetition count
+// (tests); specs defaults to the paper's six cases. Results are identical
+// for every Workers setting: each cell's simulator stream is a pure
+// function of the scenario and policy.
 func EvalGrid(teCoreDays float64, runs int, specs []string, g Grid) (EvalResult, error) {
 	if len(specs) == 0 {
 		specs = FailureCases
@@ -108,28 +103,4 @@ func (r EvalResult) RenderFig7() string {
 			row.Outcome.Solution.N/1000, row.Outcome.Efficiency(r.TeCoreDays))
 	}
 	return t.String()
-}
-
-// Gains summarizes ML(opt-scale)'s wall-clock reduction against each other
-// policy per case — the paper's headline 4.3–88% numbers.
-func (r EvalResult) Gains() map[string]map[core.Policy]float64 {
-	byCase := map[string]map[core.Policy]float64{}
-	for _, row := range r.Rows {
-		if byCase[row.Spec] == nil {
-			byCase[row.Spec] = map[core.Policy]float64{}
-		}
-		byCase[row.Spec][row.Outcome.Policy] = row.Outcome.Aggregate.WallClock.Mean
-	}
-	out := map[string]map[core.Policy]float64{}
-	for spec, m := range byCase {
-		base := m[core.MLOptScale]
-		out[spec] = map[core.Policy]float64{}
-		for pol, wct := range m {
-			if pol == core.MLOptScale || wct <= 0 {
-				continue
-			}
-			out[spec][pol] = 1 - base/wct
-		}
-	}
-	return out
 }

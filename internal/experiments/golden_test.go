@@ -98,7 +98,7 @@ func TestGoldenFig2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 1024-rank measurement in -short mode")
 	}
-	r, err := Fig2(1024)
+	r, err := Fig2Grid(1024, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestGoldenFig4(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full fig4 reproduction is too slow under -race")
 	}
-	r, err := Fig4(32, 10, 400)
+	r, err := Fig4Grid(32, 10, 400, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestGoldenTab2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-rank FTI measurement in -short mode")
 	}
-	r, err := Tab2(nil)
+	r, err := Tab2Grid(nil, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestGoldenFig5Tab3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100-run evaluation sweep in -short mode")
 	}
-	r, err := Eval(3e6, 0, nil)
+	r, err := EvalGrid(3e6, 0, nil, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestGoldenTab4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100-run Table IV sweep in -short mode")
 	}
-	r, err := Tab4(0, nil)
+	r, err := Tab4Grid(0, nil, Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}

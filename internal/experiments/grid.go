@@ -2,26 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"mlckpt/internal/core"
 	"mlckpt/internal/obs"
 	"mlckpt/internal/overhead"
 	"mlckpt/internal/sweep"
 )
-
-// keySuffix shortens a sweep cache key ("scope:hexdigest") to its last 8
-// hex digits — enough to disambiguate trace tracks without drowning the
-// timeline in full digests.
-func keySuffix(key string) string {
-	if i := strings.LastIndexByte(key, ':'); i >= 0 {
-		key = key[i+1:]
-	}
-	if len(key) > 8 {
-		key = key[len(key)-8:]
-	}
-	return key
-}
 
 // Cell is one (scenario, policy) job of an evaluation grid.
 type Cell struct {
@@ -102,8 +88,8 @@ func RunGrid(cells []Cell, g Grid) ([]PolicyOutcome, error) {
 		// Track labels derive from the cell's cache keys, never the job
 		// index: equal keys mean equal labels, so whichever duplicate cell
 		// wins the singleflight race emits the same trace bytes.
-		solveTrack := fmt.Sprintf("opt/%s/%v#%s", sc.Spec, pol, keySuffix(solveKey))
-		simTrack := fmt.Sprintf("sim/%s/%v#%s", sc.Spec, pol, keySuffix(postKey))
+		solveTrack := fmt.Sprintf("opt/%s/%v#%s", sc.Spec, pol, sweep.KeyTag(solveKey))
+		simTrack := fmt.Sprintf("sim/%s/%v#%s", sc.Spec, pol, sweep.KeyTag(postKey))
 		jobs[i] = sweep.Job{
 			Name:     fmt.Sprintf("%s/%v", sc.Spec, pol),
 			SolveKey: solveKey,

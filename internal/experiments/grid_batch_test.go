@@ -8,6 +8,20 @@ import (
 	"mlckpt/internal/sweep"
 )
 
+// SolvePolicy is SolvePolicyObs without telemetry.
+func SolvePolicy(s Scenario, pol core.Policy) (core.Solution, []float64, error) {
+	return SolvePolicyObs(s, pol, nil, "")
+}
+
+// RunPolicy solves the policy on the scenario and simulates its schedule.
+func RunPolicy(s Scenario, pol core.Policy) (PolicyOutcome, error) {
+	sol, x, err := SolvePolicy(s, pol)
+	if err != nil {
+		return PolicyOutcome{}, err
+	}
+	return SimulatePolicy(s, pol, sol, x, s.SimSeed(pol))
+}
+
 // TestGridBatchMatchesSequentialPolicies: running cells through RunGrid's
 // sweep engine must be invisible in the results — every outcome equals
 // what the cell-at-a-time RunPolicy path computes, bit for bit, across all

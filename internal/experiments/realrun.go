@@ -40,22 +40,16 @@ type RealConfig struct {
 	// for differential testing (TestChaosEngineIndependence asserts the
 	// choice is unobservable in results).
 	Engine mpisim.Engine
-	// UseBlocks switches the application to the paper's 2-D block
-	// decomposition (heat.BlockSolver) instead of the 1-D row layout.
-	UseBlocks bool
 
 	// Inject, when non-nil, arms the deterministic chaos harness: committed
 	// snapshots corrupt at rest (caught by fti's verify-on-restore, which
 	// escalates through the hierarchy), failures land inside checkpoint and
-	// recovery windows, and transient PFS errors are retried with Retry's
-	// deterministic backoff on the virtual clock. Every decision is a pure
-	// function of the compiled plan, so a chaos run is byte-reproducible at
-	// any worker count. Nil disables all of it — a nil-Inject run is
-	// byte-identical to the pre-harness driver.
+	// recovery windows, and transient PFS errors are retried with
+	// storage.DefaultRetryPolicy's deterministic backoff on the virtual
+	// clock. Every decision is a pure function of the compiled plan, so a
+	// chaos run is byte-reproducible at any worker count. Nil disables all
+	// of it — a nil-Inject run is byte-identical to one without the harness.
 	Inject *inject.Plan
-	// Retry bounds transient-PFS retries; the zero value means
-	// storage.DefaultRetryPolicy. Only consulted when Inject is non-nil.
-	Retry storage.RetryPolicy
 	// DisableScratch turns an exhausted recovery escalation into a loud
 	// error (wrapping fti.ErrExhausted, naming the last rung tried) instead
 	// of a silent from-scratch restart — the chaos-grid invariant.
@@ -75,33 +69,6 @@ type RealConfig struct {
 	// is byte-identical across worker counts and engines. Empty suppresses
 	// spans while keeping counters.
 	ObsTrack string `json:"-"`
-}
-
-// segmentApp abstracts the two heat decompositions for the driver.
-type segmentApp interface {
-	Iteration() int
-	Serialize() []byte
-	SerializeInto([]byte) []byte
-	Restore([]byte) error
-}
-
-func newApp(r *mpisim.Rank, cfg RealConfig) (segmentApp, func(hook func() bool) heat.RunResult, error) {
-	if cfg.UseBlocks {
-		s, err := heat.NewBlockSolver(r, cfg.Heat)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, func(hook func() bool) heat.RunResult {
-			return s.Run(func(*heat.BlockSolver) bool { return hook() })
-		}, nil
-	}
-	s, err := heat.NewSolver(r, cfg.Heat)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, func(hook func() bool) heat.RunResult {
-		return s.Run(func(*heat.Solver) bool { return hook() })
-	}, nil
 }
 
 // RealResult is the outcome of one real execution.
@@ -179,14 +146,8 @@ func RunReal(cfg RealConfig) (RealResult, error) {
 		return res, err
 	}
 	plan := cfg.Inject
-	retry := cfg.Retry
-	if retry == (storage.RetryPolicy{}) {
-		retry = storage.DefaultRetryPolicy()
-	}
+	retry := storage.DefaultRetryPolicy()
 	if plan != nil {
-		if err := retry.Validate(); err != nil {
-			return res, err
-		}
 		cluster.SetInjector(plan)
 	}
 	rec := obs.OrNop(cfg.Obs)
@@ -289,7 +250,7 @@ func RunReal(cfg RealConfig) (RealResult, error) {
 		out := segOut{failClass: -1}
 		prevFurthest := furthestIter
 		_, err := mpisim.RunOn(cfg.Engine, cfg.Ranks, cfg.Cost, func(r *mpisim.Rank) {
-			s, runSeg, err := newApp(r, cfg)
+			s, err := heat.NewSolver(r, cfg.Heat)
 			if err != nil {
 				panic(err)
 			}
@@ -315,7 +276,7 @@ func RunReal(cfg RealConfig) (RealResult, error) {
 			// the cluster: CheckpointOwned takes the filled buffer and hands
 			// back a recycled one for the next round — no payload copy.
 			var snapBuf []byte
-			result := runSeg(func() bool {
+			result := s.Run(func(*heat.Solver) bool {
 				if !crossed && s.Iteration() >= prevFurthest {
 					crossed = true
 					if r.ID() == 0 {

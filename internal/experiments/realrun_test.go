@@ -11,7 +11,7 @@ import (
 	"mlckpt/internal/storage"
 )
 
-func realCfg(_ bool, seed uint64) RealConfig {
+func realCfg(seed uint64) RealConfig {
 	return RealConfig{
 		Ranks:     16,
 		Heat:      heat.Config{GridX: 64, GridY: 64, Iterations: 120, CellTime: 2e-4, TopTemp: 100},
@@ -27,39 +27,35 @@ func realCfg(_ bool, seed uint64) RealConfig {
 func testHierarchy() storage.Hierarchy { return storage.DefaultHierarchy() }
 
 func TestRunRealCompletesWithFailures(t *testing.T) {
-	for _, blocks := range []bool{false, true} {
-		cfg := realCfg(blocks, 5)
-		cfg.UseBlocks = blocks
-		res, err := RunReal(cfg)
-		if err != nil {
-			t.Fatalf("blocks=%v: %v", blocks, err)
-		}
-		if !res.Completed {
-			t.Fatalf("blocks=%v: run did not complete", blocks)
-		}
-		total := 0
-		for _, c := range res.Failures {
-			total += c
-		}
-		recov := res.FromScratch
-		for _, c := range res.Recoveries {
-			recov += c
-		}
-		if total > 0 && recov == 0 {
-			t.Errorf("blocks=%v: %d failures but no recoveries", blocks, total)
-		}
-		if res.WallClock <= 0 {
-			t.Errorf("blocks=%v: wall clock %g", blocks, res.WallClock)
-		}
+	res, err := RunReal(realCfg(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatal("run did not complete")
+	}
+	total := 0
+	for _, c := range res.Failures {
+		total += c
+	}
+	recov := res.FromScratch
+	for _, c := range res.Recoveries {
+		recov += c
+	}
+	if total > 0 && recov == 0 {
+		t.Errorf("%d failures but no recoveries", total)
+	}
+	if res.WallClock <= 0 {
+		t.Errorf("wall clock %g", res.WallClock)
 	}
 }
 
 func TestRunRealDeterministic(t *testing.T) {
-	a, err := RunReal(realCfg(false, 9))
+	a, err := RunReal(realCfg(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReal(realCfg(false, 9))
+	b, err := RunReal(realCfg(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +65,7 @@ func TestRunRealDeterministic(t *testing.T) {
 }
 
 func TestRunRealRejectsBadShape(t *testing.T) {
-	cfg := realCfg(false, 1)
+	cfg := realCfg(1)
 	cfg.Ranks = 10 // not a multiple of the group size 8
 	if _, err := RunReal(cfg); !errors.Is(err, ErrReal) {
 		t.Errorf("err = %v", err)
@@ -77,7 +73,7 @@ func TestRunRealRejectsBadShape(t *testing.T) {
 }
 
 func TestRunRealFailureFree(t *testing.T) {
-	cfg := realCfg(false, 1)
+	cfg := realCfg(1)
 	cfg.Rates = failure.MustParseRates("0-0-0-0", 16)
 	res, err := RunReal(cfg)
 	if err != nil {

@@ -118,18 +118,13 @@ func (s Scenario) SimSeed(pol core.Policy) uint64 {
 	return s.Seed ^ uint64(pol+1)*0x9E37
 }
 
-// SolvePolicy runs the deterministic half of a (scenario, policy) cell:
+// SolvePolicyObs runs the deterministic half of a (scenario, policy) cell:
 // the Algorithm 1 solve and the expansion of its schedule to all levels.
 // This is the memoizable stage of a sweep — it depends only on the
-// scenario's model parameters and the policy.
-func SolvePolicy(s Scenario, pol core.Policy) (core.Solution, []float64, error) {
-	return SolvePolicyObs(s, pol, nil, "")
-}
-
-// SolvePolicyObs is SolvePolicy with telemetry: the optimizer records its
-// convergence counters through rec and its per-outer-iteration spans on
-// track (which must derive from the cell's content — see internal/obs).
-// A nil recorder is equivalent to SolvePolicy.
+// scenario's model parameters and the policy. The optimizer records its
+// convergence counters through rec (nil disables telemetry) and its
+// per-outer-iteration spans on track (which must derive from the cell's
+// content — see internal/obs).
 func SolvePolicyObs(s Scenario, pol core.Policy, rec obs.Recorder, track string) (core.Solution, []float64, error) {
 	p := s.Params()
 	sol, err := pol.Solve(p, core.Options{Obs: rec, ObsLabel: track})
@@ -163,13 +158,4 @@ func SimulatePolicyObs(s Scenario, pol core.Policy, sol core.Solution, x []float
 		return PolicyOutcome{}, err
 	}
 	return PolicyOutcome{Policy: pol, Solution: sol, X: x, Aggregate: agg}, nil
-}
-
-// RunPolicy solves the policy on the scenario and simulates its schedule.
-func RunPolicy(s Scenario, pol core.Policy) (PolicyOutcome, error) {
-	sol, x, err := SolvePolicy(s, pol)
-	if err != nil {
-		return PolicyOutcome{}, err
-	}
-	return SimulatePolicy(s, pol, sol, x, s.SimSeed(pol))
 }

@@ -22,16 +22,12 @@ type Tab2Result struct {
 	Published []overhead.Cost
 }
 
-// Tab2 measures checkpoint overheads by running the Heat Distribution
+// Tab2Grid measures checkpoint overheads by running the Heat Distribution
 // program under FTI on the simulated cluster at each scale and timing one
-// checkpoint per level (strong scaling: fixed global problem).
-func Tab2(scales []int) (Tab2Result, error) {
-	return Tab2Grid(scales, Grid{})
-}
-
-// Tab2Grid is Tab2 with the per-scale measurement runs (each one a full
-// heat+FTI execution) fanned across the sweep engine. Measurements are
-// deterministic, so results are identical for any worker count.
+// checkpoint per level (strong scaling: fixed global problem). The
+// per-scale measurement runs (each one a full heat+FTI execution) fan
+// across the sweep engine. Measurements are deterministic, so results are
+// identical for any worker count.
 func Tab2Grid(scales []int, g Grid) (Tab2Result, error) {
 	if len(scales) == 0 {
 		scales = []int{128, 256, 384, 512, 1024}
@@ -96,7 +92,7 @@ func Tab2Grid(scales []int, g Grid) (Tab2Result, error) {
 	fitted, err := overhead.Fit(overhead.Characterization{
 		Scales: toF(scales),
 		Costs:  res.Costs,
-	}, overhead.FitOptions{})
+	})
 	if err != nil {
 		return res, err
 	}

@@ -24,12 +24,8 @@ type Tab4Result struct {
 	Runs int
 }
 
-// Tab4 runs the study on all CPUs. runs > 0 overrides the 100-run default.
-func Tab4(runs int, specs []string) (Tab4Result, error) {
-	return Tab4Grid(runs, specs, Grid{})
-}
-
-// Tab4Grid is Tab4 routed through an explicit sweep grid.
+// Tab4Grid runs the study through the sweep grid g. runs > 0 overrides
+// the 100-run default.
 func Tab4Grid(runs int, specs []string, g Grid) (Tab4Result, error) {
 	if len(specs) == 0 {
 		specs = Tab4Cases

@@ -63,11 +63,6 @@ func NewBlockSolver(r *mpisim.Rank, cfg Config) (*BlockSolver, error) {
 	n := (s.rows() + 2) * (s.cols() + 2)
 	s.cur = make([]float64, n)
 	s.nxt = make([]float64, n)
-	if cfg.EdgeTemp != 0 {
-		for i := range s.cur {
-			s.cur[i] = cfg.EdgeTemp
-		}
-	}
 	if s.rowLo == 0 {
 		for c := 0; c < s.cols(); c++ {
 			s.cur[s.at(0, c)] = cfg.TopTemp
@@ -237,42 +232,4 @@ func (s *BlockSolver) Run(hook func(*BlockSolver) bool) RunResult {
 		}
 	}
 	return RunResult{Iterations: s.iter, Residual: s.residual, WallClock: s.rank.Clock()}
-}
-
-// Serialize captures the rank's block (iteration counter + interior).
-func (s *BlockSolver) Serialize() []byte {
-	return s.SerializeInto(nil)
-}
-
-// SerializeInto is Serialize into a caller-owned buffer (grown when too
-// small), so checkpoint loops can reuse one snapshot buffer per rank.
-func (s *BlockSolver) SerializeInto(buf []byte) []byte {
-	rows, cols := s.rows(), s.cols()
-	n := 8 + 8*rows*cols
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
-	binary.LittleEndian.PutUint64(buf, uint64(s.iter))
-	// Each owned row is contiguous (the ghost border has stride cols+2):
-	// one bulk encode per row.
-	for r := 0; r < rows; r++ {
-		enc.PutFloat64s(buf[8+8*r*cols:], s.cur[s.at(r, 0):s.at(r, cols)])
-	}
-	return buf
-}
-
-// Restore reinstates a Serialize snapshot on the same decomposition.
-func (s *BlockSolver) Restore(data []byte) error {
-	rows, cols := s.rows(), s.cols()
-	want := 8 + 8*rows*cols
-	if len(data) != want {
-		return fmt.Errorf("%w: snapshot %d bytes, want %d", ErrHeat, len(data), want)
-	}
-	s.iter = int(binary.LittleEndian.Uint64(data))
-	for r := 0; r < rows; r++ {
-		enc.GetFloat64s(s.cur[s.at(r, 0):s.at(r, cols)], data[8+8*r*cols:])
-	}
-	return nil
 }

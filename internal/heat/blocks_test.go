@@ -1,7 +1,6 @@
 package heat
 
 import (
-	"bytes"
 	"testing"
 
 	"mlckpt/internal/mpisim"
@@ -84,86 +83,6 @@ func TestBlockSolverTooSmall(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBlockSerializeRestore(t *testing.T) {
-	cfg := Config{GridX: 20, GridY: 20, Iterations: 30, CellTime: 1e-9, TopTemp: 100}
-	_, err := mpisim.Run(4, mpisim.DefaultCostModel(), func(r *mpisim.Rank) {
-		s, err := NewBlockSolver(r, cfg)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < 10; i++ {
-			s.Step()
-		}
-		snap := s.Serialize()
-		for i := 0; i < 5; i++ {
-			s.Step()
-		}
-		if err := s.Restore(snap); err != nil {
-			panic(err)
-		}
-		if s.Iteration() != 10 {
-			panic("iteration not restored")
-		}
-		if !bytes.Equal(s.Serialize(), snap) {
-			panic("snapshot not reproduced")
-		}
-		if err := s.Restore([]byte{1}); err == nil {
-			panic("short snapshot accepted")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockRestartEquivalence(t *testing.T) {
-	cfg := Config{GridX: 18, GridY: 18, Iterations: 24, CellTime: 1e-9, TopTemp: 100}
-	p := 6
-	uninterrupted := gatherBlockGrid(t, cfg, p)
-	snaps := make([][]byte, p)
-	_, err := mpisim.Run(p, mpisim.DefaultCostModel(), func(r *mpisim.Rank) {
-		s, err := NewBlockSolver(r, cfg)
-		if err != nil {
-			panic(err)
-		}
-		s.Run(func(s *BlockSolver) bool { return s.Iteration() < 9 })
-		snaps[r.ID()] = s.Serialize()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restarted := make([][]float64, cfg.GridY)
-	for i := range restarted {
-		restarted[i] = make([]float64, cfg.GridX)
-	}
-	_, err = mpisim.Run(p, mpisim.DefaultCostModel(), func(r *mpisim.Rank) {
-		s, err := NewBlockSolver(r, cfg)
-		if err != nil {
-			panic(err)
-		}
-		if err := s.Restore(snaps[r.ID()]); err != nil {
-			panic(err)
-		}
-		s.Run(nil)
-		for row := s.rowLo; row < s.rowHi; row++ {
-			for col := s.colLo; col < s.colHi; col++ {
-				v, _ := s.Temperature(row, col)
-				restarted[row][col] = v
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for y := range uninterrupted {
-		for x := range uninterrupted[y] {
-			if uninterrupted[y][x] != restarted[y][x] {
-				t.Fatalf("restart diverged at (%d,%d)", y, x)
-			}
-		}
 	}
 }
 

@@ -32,7 +32,6 @@ type Config struct {
 	Iterations   int     // Jacobi iterations to run
 	CellTime     float64 // simulated seconds per cell update (e.g. 5e-9)
 	TopTemp      float64 // fixed temperature of the top boundary (heat source)
-	EdgeTemp     float64 // fixed temperature of the other boundaries
 }
 
 // DefaultConfig is a small, fast problem for tests and examples.
@@ -68,8 +67,8 @@ type Solver struct {
 	resBuf [1]float64
 }
 
-// NewSolver initializes the rank-local state: interior at EdgeTemp, top
-// boundary at TopTemp.
+// NewSolver initializes the rank-local state: interior at 0, top boundary
+// at TopTemp.
 func NewSolver(r *mpisim.Rank, cfg Config) (*Solver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -83,11 +82,6 @@ func NewSolver(r *mpisim.Rank, cfg Config) (*Solver, error) {
 	n := (s.rows() + 2) * cfg.GridX
 	s.cur = make([]float64, n)
 	s.nxt = make([]float64, n)
-	if cfg.EdgeTemp != 0 {
-		for i := range s.cur {
-			s.cur[i] = cfg.EdgeTemp
-		}
-	}
 	// Top boundary (global row 0) is the heat source.
 	if s.rowLo == 0 {
 		for x := 0; x < cfg.GridX; x++ {

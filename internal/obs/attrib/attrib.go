@@ -75,7 +75,7 @@ type Report struct {
 	Recovery        map[int]float64 `json:"recovery"` // per restore level; 0 = scratch
 	RecoveryAborted float64         `json:"recovery_aborted"`
 	Alloc           float64         `json:"alloc"`     // allocation spans (real runs)
-	Detection       float64         `json:"detection"` // silent-error detection latency
+	Detection       float64         `json:"detection"` // silent-error detection latency (real runs)
 
 	Failures map[int]int `json:"failures"` // failures per class (1-based)
 	Absorbed int         `json:"absorbed"` // correlated-window merged failures
@@ -270,8 +270,6 @@ func (b *builder) simEvent(ev obs.TrackEvent, ns *big.Rat) error {
 		return b.span(ev, fmt.Sprintf("recovery/%d", int(ev.Arg("restore_level"))), ns)
 	case "recovery-abort":
 		return b.span(ev, "recovery-aborted", ns)
-	case "silent-detect":
-		return b.span(ev, "detection", ns)
 	case "failure":
 		b.rep.Failures[int(ev.Arg("class"))]++
 		b.resync(ev.Arg("progress"))

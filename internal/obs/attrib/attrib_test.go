@@ -121,33 +121,6 @@ func TestZeroFailurePropertyOnlyWorkAndCheckpoints(t *testing.T) {
 	}
 }
 
-func TestSilentCorruptionFillsDetection(t *testing.T) {
-	var rep *Report
-	for seed := uint64(1); seed <= 50; seed++ {
-		col, res := runTraced(t, "40-20-10-5", seed, func(c *sim.Config) {
-			c.SilentCorruptionProb = 0.3
-		})
-		if res.SilentDetected == 0 {
-			continue
-		}
-		r, err := FromTrace(col.Trace, "sim/attrib-test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep = r
-		break
-	}
-	if rep == nil {
-		t.Fatal("no seed produced a detected silent corruption")
-	}
-	if rep.Detection <= 0 {
-		t.Fatalf("detection bucket empty despite detected corruption: %+v", rep)
-	}
-	if !rep.Exact {
-		t.Fatal("identity not exact with silent-detect spans")
-	}
-}
-
 func TestCorrelatedAbsorptionCounted(t *testing.T) {
 	var rep *Report
 	for seed := uint64(1); seed <= 80; seed++ {

@@ -183,35 +183,22 @@ func (ch Characterization) Validate() error {
 	return nil
 }
 
-// FitOptions tunes Fit.
-type FitOptions struct {
-	// Baselines to consider for the scale-dependent term. Defaults to
-	// {Zero, LinearN}.
-	Baselines []Baseline
-	// FlatnessThreshold: if the best scale-dependent fit improves residual
-	// sum of squares over the constant fit by less than this relative
-	// factor, the level is declared constant (α=0), mirroring the paper's
-	// reading of Table II ("the checkpoint overheads for the first three
-	// levels look like constants"). Default 0.5. A scale-dependent model
-	// must also explain at least 30% of the mean cost across the
-	// characterized range, so measurement noise on a flat level cannot
-	// masquerade as growth.
-	FlatnessThreshold float64
-}
+// fitFlatness is Fit's flatness threshold: if the LinearN fit improves the
+// residual sum of squares over the constant fit by less than this relative
+// factor, the level is declared constant (α=0), mirroring the paper's
+// reading of Table II ("the checkpoint overheads for the first three
+// levels look like constants").
+const fitFlatness = 0.5
 
 // Fit derives a Cost model per level from a characterization table. For
-// each level it compares a constant fit against each candidate baseline and
-// keeps the scale-dependent model only when it reduces the residual
-// substantially (see FitOptions.FlatnessThreshold).
-func Fit(ch Characterization, opts FitOptions) ([]Cost, error) {
+// each level it compares a constant fit against a LinearN fit and keeps
+// the scale-dependent model only when it reduces the residual
+// substantially (fitFlatness) and explains at least 30% of the mean cost
+// across the characterized range, so measurement noise on a flat level
+// cannot masquerade as growth.
+func Fit(ch Characterization) ([]Cost, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
-	}
-	if len(opts.Baselines) == 0 {
-		opts.Baselines = []Baseline{Zero, LinearN}
-	}
-	if opts.FlatnessThreshold <= 0 {
-		opts.FlatnessThreshold = 0.5
 	}
 	scaleSpan := ch.Scales[len(ch.Scales)-1] - ch.Scales[0]
 	nLevels := ch.Levels()
@@ -229,28 +216,20 @@ func Fit(ch Characterization, opts FitOptions) ([]Cost, error) {
 		}
 
 		best := Cost{Const: constFit, H: Zero}
-		bestRSS := constRSS
-		for _, h := range opts.Baselines {
-			if h == Zero {
-				continue
-			}
-			hx := make([]float64, len(ch.Scales))
-			for k, n := range ch.Scales {
-				hx[k] = h.Eval(n)
-			}
-			c0, slope, err := numopt.FitLine(hx, ys)
-			if err != nil {
-				continue
-			}
-			cand := Cost{Const: c0, Coeff: slope, H: h}
+		hx := make([]float64, len(ch.Scales))
+		for k, n := range ch.Scales {
+			hx[k] = LinearN.Eval(n)
+		}
+		if c0, slope, err := numopt.FitLine(hx, ys); err == nil {
+			cand := Cost{Const: c0, Coeff: slope, H: LinearN}
 			candRSS := 0.0
 			for k, n := range ch.Scales {
 				d := ys[k] - cand.At(n)
 				candRSS += d * d
 			}
-			span := slope * (h.Eval(ch.Scales[0]+scaleSpan) - h.Eval(ch.Scales[0]))
-			if candRSS < bestRSS*(1-opts.FlatnessThreshold) && slope > 0 && span > 0.3*constFit {
-				best, bestRSS = cand, candRSS
+			span := slope * (LinearN.Eval(ch.Scales[0]+scaleSpan) - LinearN.Eval(ch.Scales[0]))
+			if candRSS < constRSS*(1-fitFlatness) && slope > 0 && span > 0.3*constFit {
+				best = cand
 			}
 		}
 		if best.Const < 0 {

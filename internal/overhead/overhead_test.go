@@ -93,7 +93,7 @@ func TestFitTableII(t *testing.T) {
 	// levels 1–3 constant, level 4 growing roughly linearly with N, with
 	// coefficients near the published (0.866,0) (2.586,0) (3.886,0)
 	// (5.5, 0.0212).
-	costs, err := Fit(FusionTableII(), FitOptions{})
+	costs, err := Fit(FusionTableII())
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestFitPreservesExactConstant(t *testing.T) {
 		Scales: []float64{100, 200, 300},
 		Costs:  [][]float64{{2}, {2}, {2}},
 	}
-	costs, err := Fit(ch, FitOptions{})
+	costs, err := Fit(ch)
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestFitExactLinear(t *testing.T) {
 		Scales: []float64{100, 200, 400, 800},
 		Costs:  [][]float64{{1 + 0.01*100}, {1 + 0.01*200}, {1 + 0.01*400}, {1 + 0.01*800}},
 	}
-	costs, err := Fit(ch, FitOptions{})
+	costs, err := Fit(ch)
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestFitExactLinear(t *testing.T) {
 }
 
 func TestFitRejectsInvalid(t *testing.T) {
-	if _, err := Fit(Characterization{}, FitOptions{}); !errors.Is(err, ErrCharacterize) {
+	if _, err := Fit(Characterization{}); !errors.Is(err, ErrCharacterize) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -171,7 +171,7 @@ func TestFitMonotonicityWarning(t *testing.T) {
 		Scales: []float64{100, 200},
 		Costs:  [][]float64{{5, 1}, {5, 1}},
 	}
-	costs, err := Fit(ch, FitOptions{})
+	costs, err := Fit(ch)
 	if err == nil {
 		t.Error("expected a monotonicity warning error")
 	}
@@ -207,7 +207,7 @@ func TestFitNonNegativeProperty(t *testing.T) {
 				{base + 0.1}, {base + 0.3}, {base + 0.2}, {base + 0.4},
 			},
 		}
-		costs, err := Fit(ch, FitOptions{})
+		costs, err := Fit(ch)
 		if err != nil {
 			return false
 		}

@@ -13,7 +13,6 @@ const (
 	EvCheckpointAbort                  // a checkpoint was killed by a failure
 	EvRecoveryDone                     // allocation + recovery finished (Level = restore level, -1 scratch)
 	EvCompletion                       // the run finished
-	EvSilentDetect                     // verify-on-restore rejected a corrupted checkpoint (Level = its level)
 )
 
 func (k EventKind) String() string {
@@ -30,8 +29,6 @@ func (k EventKind) String() string {
 		return "recovery"
 	case EvCompletion:
 		return "completion"
-	case EvSilentDetect:
-		return "silent-detect"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}

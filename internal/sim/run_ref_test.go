@@ -65,14 +65,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 		furthestCkpt[i] = -1
 	}
 
-	// corrupt[i] marks the newest level-i checkpoint as silently damaged.
-	// Allocated (and RNG consulted) only when the silent-error class is
-	// enabled, so default-config runs keep their exact draw sequence.
-	var corrupt []bool
-	if cfg.SilentCorruptionProb > 0 {
-		corrupt = make([]bool, L)
-	}
-
 	// Failure source: a stochastic process by default, or a fixed replay
 	// trace (recorded from another run, or imported from a real system's
 	// failure log).
@@ -172,36 +164,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 	// returns the level restored from — the cheapest level holding the
 	// restore point — or -1 when execution restarts from scratch.
 	strike := func(c int) int {
-		// Verify-on-restore: reject corrupted checkpoints before trusting
-		// the restore point. Each rejection pays the rejected level's
-		// recovery cost as detection latency (the read that found the bad
-		// checksum) and escalates to the next-best intact file — the sim
-		// counterpart of fti.RestoreEscalating.
-		if corrupt != nil {
-			for {
-				best, q := -1, 0.0
-				for i := c; i < L; i++ {
-					if lastCkpt[i] > q {
-						best, q = i, lastCkpt[i]
-					}
-				}
-				if best < 0 || !corrupt[best] {
-					break
-				}
-				pen := rng.Jitter(p.Levels[best].Recovery.At(n), cfg.JitterRatio)
-				if tracing() {
-					rec.Span(cfg.ObsTrack, "silent-detect", wall, pen, map[string]float64{
-						"level": float64(best + 1),
-					})
-				}
-				wall += pen
-				res.Restart += pen
-				res.SilentDetected++
-				lastCkpt[best] = 0
-				corrupt[best] = false
-				record(EvSilentDetect, best)
-			}
-		}
 		q := 0.0
 		for i := c; i < L; i++ {
 			if lastCkpt[i] > q {
@@ -210,9 +172,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 		}
 		for i := 0; i < c; i++ {
 			lastCkpt[i] = 0
-			if corrupt != nil {
-				corrupt[i] = false
-			}
 		}
 		if q < progress {
 			progress = q
@@ -274,17 +233,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 			dur := p.Alloc
 			if restoreLvl >= 0 {
 				dur += rng.Jitter(p.Levels[restoreLvl].Recovery.At(n), cfg.JitterRatio)
-			}
-			if cfg.DisableFailuresDuringRecovery {
-				if tracing() {
-					rec.Span(cfg.ObsTrack, "recovery", wall, dur, map[string]float64{
-						"restore_level": float64(restoreLvl + 1),
-					})
-				}
-				wall += dur
-				res.Restart += dur
-				record(EvRecoveryDone, restoreLvl)
-				return
 			}
 			ev, ok := nextFailure(wall)
 			if !ok || ev.Time >= wall+dur {
@@ -370,10 +318,7 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 		// --- Checkpoint at dueProgress, level dueLevel ---
 		dur := rng.Jitter(p.Levels[dueLevel].Checkpoint.At(n), cfg.JitterRatio)
 		redo := progress <= furthestCkpt[dueLevel]+1e-9
-		ev, ok := failure.Event{}, false
-		if !cfg.DisableFailuresDuringCkpt {
-			ev, ok = nextFailure(wall)
-		}
+		ev, ok := nextFailure(wall)
 		if ok && ev.Time < wall+dur {
 			// Checkpoint aborted by a failure: elapsed time is wasted.
 			consumeFailure()
@@ -415,13 +360,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 		record(EvCheckpointDone, dueLevel)
 		res.CheckpointsTaken[dueLevel]++
 		lastCkpt[dueLevel] = progress
-		if corrupt != nil {
-			bad := rng.Float64() < cfg.SilentCorruptionProb
-			corrupt[dueLevel] = bad
-			if bad {
-				res.SilentCorrupted++
-			}
-		}
 		if progress > furthestCkpt[dueLevel] {
 			furthestCkpt[dueLevel] = progress
 		}
@@ -448,12 +386,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 		ckpts += v
 	}
 	rec.Count("sim.checkpoints", int64(ckpts))
-	if res.SilentCorrupted > 0 {
-		rec.Count("sim.silent_corrupted", int64(res.SilentCorrupted))
-	}
-	if res.SilentDetected > 0 {
-		rec.Count("sim.silent_detected", int64(res.SilentDetected))
-	}
 	if res.Truncated {
 		rec.Count("sim.truncated", 1)
 	}

@@ -59,25 +59,6 @@ type Config struct {
 	// bound of 4000 days.
 	MaxWallClock float64
 
-	// DisableFailuresDuringCkpt / ...Recovery suppress failures inside the
-	// respective windows, for the ablation mirroring the paper's
-	// simplifying assumption (footnote to Formula 5: failure-over-recovery
-	// is rare and ignored by the model, but the simulator covers it).
-	DisableFailuresDuringCkpt     bool
-	DisableFailuresDuringRecovery bool
-
-	// SilentCorruptionProb, when positive, silently corrupts each completed
-	// checkpoint with this probability: the corruption is invisible until a
-	// rollback tries to restore from the file, at which point verify-on-
-	// restore rejects it, the run pays that level's recovery cost as
-	// detection latency, and recovery escalates to the next-best intact
-	// checkpoint (possibly from scratch). This is the simulator counterpart
-	// of the fault-injection harness in internal/inject: silent errors are
-	// a failure class the analytic model cannot see, because their cost is
-	// only realized on the recovery path. Zero (the default) draws no RNG
-	// values, so existing seeded runs are byte-identical.
-	SilentCorruptionProb float64
-
 	// CorrelationWindow, when positive, merges failures of class ≤ c that
 	// arrive within this many seconds of a class-c failure into that
 	// event: they are counted as absorbed and trigger no additional
@@ -137,9 +118,6 @@ func (c *Config) Validate() error {
 	if c.JitterRatio < 0 || c.JitterRatio >= 1 {
 		return fmt.Errorf("%w: jitter ratio %g", ErrConfig, c.JitterRatio)
 	}
-	if c.SilentCorruptionProb < 0 || c.SilentCorruptionProb > 1 {
-		return fmt.Errorf("%w: silent corruption probability %g", ErrConfig, c.SilentCorruptionProb)
-	}
 	return nil
 }
 
@@ -155,8 +133,6 @@ type Result struct {
 	Failures         []int // failures observed per level class
 	CheckpointsTaken []int // completed checkpoints per level (incl. re-taken)
 	Absorbed         int   // failures merged into a correlated window
-	SilentCorrupted  int   // checkpoints silently corrupted at completion
-	SilentDetected   int   // corruptions caught by verify-on-restore (each cost detection latency)
 	Truncated        bool  // MaxWallClock hit before completion
 
 	Events []TraceEvent // populated when Config.RecordEvents is set
@@ -211,11 +187,6 @@ type runner struct {
 	mark         []float64 // markAt(i), refreshed whenever nextMark[i] changes
 	lastCkpt     []float64 // progress of newest completed ckpt per level (0 = start)
 	furthestCkpt []float64 // furthest progress ever checkpointed per level
-
-	// corrupt[i] marks the newest level-i checkpoint as silently damaged.
-	// Allocated (and RNG consulted) only when the silent-error class is
-	// enabled, so default-config runs keep their exact draw sequence.
-	corrupt []bool
 
 	// Failure source: a stochastic process by default, or (proc == nil)
 	// the unread rest of a fixed replay trace. The next failure stays
@@ -279,9 +250,6 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 		r.nextMark[i] = 1
 		r.mark[i] = r.markAt(i)
 		r.furthestCkpt[i] = -1
-	}
-	if cfg.SilentCorruptionProb > 0 {
-		r.corrupt = make([]bool, L)
 	}
 
 	if cfg.Replay != nil {
@@ -406,36 +374,6 @@ func (r *runner) rollbackInstant(restoreLvl int) {
 // returns the level restored from — the cheapest level holding the
 // restore point — or -1 when execution restarts from scratch.
 func (r *runner) strike(c int) int {
-	// Verify-on-restore: reject corrupted checkpoints before trusting
-	// the restore point. Each rejection pays the rejected level's
-	// recovery cost as detection latency (the read that found the bad
-	// checksum) and escalates to the next-best intact file — the sim
-	// counterpart of fti.RestoreEscalating.
-	if r.corrupt != nil {
-		for {
-			best, q := -1, 0.0
-			for i := c; i < r.L; i++ {
-				if r.lastCkpt[i] > q {
-					best, q = i, r.lastCkpt[i]
-				}
-			}
-			if best < 0 || !r.corrupt[best] {
-				break
-			}
-			pen := r.rng.Jitter(r.recCost[best], r.cfg.JitterRatio)
-			if r.tracing() {
-				r.rec.Span(r.cfg.ObsTrack, "silent-detect", r.wall, pen, map[string]float64{
-					"level": float64(best + 1),
-				})
-			}
-			r.wall += pen
-			r.res.Restart += pen
-			r.res.SilentDetected++
-			r.lastCkpt[best] = 0
-			r.corrupt[best] = false
-			r.record(EvSilentDetect, best)
-		}
-	}
 	q := 0.0
 	for i := c; i < r.L; i++ {
 		if r.lastCkpt[i] > q {
@@ -444,9 +382,6 @@ func (r *runner) strike(c int) int {
 	}
 	for i := 0; i < c; i++ {
 		r.lastCkpt[i] = 0
-		if r.corrupt != nil {
-			r.corrupt[i] = false
-		}
 	}
 	if q < r.progress {
 		r.progress = q
@@ -503,10 +438,7 @@ func (r *runner) handleFailure(c int) {
 		if restoreLvl >= 0 {
 			dur += r.rng.Jitter(r.recCost[restoreLvl], r.cfg.JitterRatio)
 		}
-		ev, ok := failure.Event{}, false
-		if !r.cfg.DisableFailuresDuringRecovery {
-			ev, ok = r.nextFailure(r.wall)
-		}
+		ev, ok := r.nextFailure(r.wall)
 		if !ok || ev.Time >= r.wall+dur {
 			if r.tracing() {
 				r.rec.Span(r.cfg.ObsTrack, "recovery", r.wall, dur, map[string]float64{
@@ -597,10 +529,7 @@ func (r *runner) run() {
 		// --- Checkpoint at dueProgress, level dueLevel ---
 		dur := r.rng.Jitter(r.ckptCost[dueLevel], r.cfg.JitterRatio)
 		redo := r.progress <= r.furthestCkpt[dueLevel]+1e-9
-		ev, ok := failure.Event{}, false
-		if !r.cfg.DisableFailuresDuringCkpt {
-			ev, ok = r.nextFailure(r.wall)
-		}
+		ev, ok := r.nextFailure(r.wall)
 		if ok && ev.Time < r.wall+dur {
 			// Checkpoint aborted by a failure: elapsed time is wasted.
 			r.havePending = false
@@ -630,13 +559,6 @@ func (r *runner) run() {
 		r.record(EvCheckpointDone, dueLevel)
 		r.res.CheckpointsTaken[dueLevel]++
 		r.lastCkpt[dueLevel] = r.progress
-		if r.corrupt != nil {
-			bad := r.rng.Float64() < r.cfg.SilentCorruptionProb
-			r.corrupt[dueLevel] = bad
-			if bad {
-				r.res.SilentCorrupted++
-			}
-		}
 		if r.progress > r.furthestCkpt[dueLevel] {
 			r.furthestCkpt[dueLevel] = r.progress
 		}
@@ -664,12 +586,6 @@ func (r *runner) run() {
 		ckpts += v
 	}
 	r.rec.Count("sim.checkpoints", int64(ckpts))
-	if r.res.SilentCorrupted > 0 {
-		r.rec.Count("sim.silent_corrupted", int64(r.res.SilentCorrupted))
-	}
-	if r.res.SilentDetected > 0 {
-		r.rec.Count("sim.silent_detected", int64(r.res.SilentDetected))
-	}
 	if r.res.Truncated {
 		r.rec.Count("sim.truncated", 1)
 	}

@@ -318,24 +318,6 @@ func TestWeibullDistributionRuns(t *testing.T) {
 	}
 }
 
-func TestDisableFailuresDuringWindows(t *testing.T) {
-	cfg := testConfig("16-8-4-2", 8000, []float64{60, 30, 12, 6})
-	cfg.DisableFailuresDuringCkpt = true
-	cfg.DisableFailuresDuringRecovery = true
-	agg, err := Simulate(cfg, 40, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Simulate(testConfig("16-8-4-2", 8000, []float64{60, 30, 12, 6}), 40, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Suppressing failures in overhead windows can only help (≤, plus noise).
-	if agg.WallClock.Mean > full.WallClock.Mean*1.1 {
-		t.Errorf("suppressed-failure run slower: %g vs %g", agg.WallClock.Mean, full.WallClock.Mean)
-	}
-}
-
 func TestRunManyErrors(t *testing.T) {
 	cfg := testConfig("8-4-2-1", 8000, []float64{60, 30, 12, 6})
 	if _, err := RunMany(cfg, 0, 1); !errors.Is(err, ErrConfig) {
@@ -394,79 +376,5 @@ func TestEfficiencyMetric(t *testing.T) {
 	want := g / 5000
 	if got := r.Efficiency(cfg.Params.Te, 5000); math.Abs(got-want) > 1e-9 {
 		t.Errorf("efficiency = %g, want %g", got, want)
-	}
-}
-
-func TestSilentErrorsDetectedAndPaid(t *testing.T) {
-	// Every checkpoint corrupted: every rollback must reject at least one
-	// file, pay detection latency, and still finish (scratch restarts are
-	// always possible).
-	cfg := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
-	cfg.SilentCorruptionProb = 1
-	res, err := Run(cfg, stats.NewRNG(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated {
-		t.Fatal("run truncated")
-	}
-	if res.SilentCorrupted == 0 {
-		t.Fatal("prob-1 corruption injected nothing")
-	}
-	if res.TotalFailures() > 0 && res.SilentDetected == 0 {
-		t.Error("failures struck but no corruption was ever detected at restore")
-	}
-	if res.SilentDetected > res.SilentCorrupted {
-		t.Errorf("detected %d > corrupted %d", res.SilentDetected, res.SilentCorrupted)
-	}
-
-	// The same seed without corruption must be cheaper: detection latency
-	// and deeper rollbacks only add time.
-	clean := cfg
-	clean.SilentCorruptionProb = 0
-	cres, err := Run(clean, stats.NewRNG(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalFailures() > 0 && res.WallClock <= cres.WallClock {
-		t.Errorf("corrupted run wall %g not above clean %g", res.WallClock, cres.WallClock)
-	}
-	if cres.SilentCorrupted != 0 || cres.SilentDetected != 0 {
-		t.Errorf("clean run reported silent errors: %+v", cres)
-	}
-}
-
-func TestSilentErrorConfigGuards(t *testing.T) {
-	cfg := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
-	cfg.SilentCorruptionProb = -0.1
-	if _, err := Run(cfg, stats.NewRNG(1)); !errors.Is(err, ErrConfig) {
-		t.Errorf("negative prob: %v", err)
-	}
-	cfg.SilentCorruptionProb = 1.5
-	if _, err := Run(cfg, stats.NewRNG(1)); !errors.Is(err, ErrConfig) {
-		t.Errorf("prob > 1: %v", err)
-	}
-	cfg.SilentCorruptionProb = 0.5
-	if _, err := runTicks(cfg, 1, stats.NewRNG(1)); !errors.Is(err, ErrConfig) {
-		t.Errorf("runTicks with silent errors: %v", err)
-	}
-}
-
-// TestSilentErrorsZeroProbIdentical pins the golden-stability guarantee:
-// enabling the feature at rate zero changes nothing.
-func TestSilentErrorsZeroProbIdentical(t *testing.T) {
-	cfg := testConfig("4-3-2-1", 8000, []float64{30, 15, 8, 4})
-	a, err := Run(cfg, stats.NewRNG(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.SilentCorruptionProb = 0
-	b, err := Run(cfg, stats.NewRNG(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:allow floateq identical seeded runs must agree bit-for-bit
-	if a.WallClock != b.WallClock || a.TotalFailures() != b.TotalFailures() {
-		t.Errorf("zero-prob run diverged: %+v vs %+v", a, b)
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"mlckpt/internal/failure"
@@ -22,12 +21,6 @@ import (
 func runTicks(cfg Config, tick float64, rng *stats.RNG) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
-	}
-	if cfg.SilentCorruptionProb > 0 {
-		// The tick twin exists only for the event-vs-tick equivalence
-		// ablation, which predates the silent-error class; fail loudly
-		// rather than silently dropping injected corruption.
-		return Result{}, fmt.Errorf("%w: RunTicks does not support silent-error injection", ErrConfig)
 	}
 	if tick <= 0 {
 		tick = 1
@@ -135,9 +128,7 @@ func runTicks(cfg Config, tick float64, rng *stats.RNG) (Result, error) {
 		// Failure at this tick?
 		failed := false
 		var failClass int
-		suppress := (mode == checkpointing && cfg.DisableFailuresDuringCkpt) ||
-			(mode == recovering && cfg.DisableFailuresDuringRecovery)
-		if ev, ok := peek(wall); ok && ev.Time < wall+tick && !suppress {
+		if ev, ok := peek(wall); ok && ev.Time < wall+tick {
 			havePending = false
 			failed = true
 			failClass = ev.Level

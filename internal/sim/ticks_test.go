@@ -81,9 +81,4 @@ func TestRunTicksValidation(t *testing.T) {
 	if _, err := runTicks(bad, 1, stats.NewRNG(1)); err == nil {
 		t.Error("invalid config accepted")
 	}
-	silent := testConfig("8-4-2-1", 5000, []float64{8, 4, 2, 1})
-	silent.SilentCorruptionProb = 0.1
-	if _, err := runTicks(silent, 1, stats.NewRNG(1)); err == nil {
-		t.Error("silent-error config accepted")
-	}
 }

@@ -93,9 +93,6 @@ func (q Quadratic) String() string {
 	return fmt.Sprintf("quadratic(κ=%.4g, N*=%.4g)", q.Kappa, q.NStar)
 }
 
-// PeakSpeedup returns g(N^(*)) = κ·N^(*)/2, the maximum of the parabola.
-func (q Quadratic) PeakSpeedup() float64 { return q.Kappa * q.NStar / 2 }
-
 // Amdahl is g(N) = N / (1 + σ·(N-1)) with serial fraction σ — Amdahl's law
 // [31], one of the estimation routes the paper names for Formula (12)'s
 // coefficients. Its speedup is increasing and bounded by 1/σ; IdealScale

@@ -16,9 +16,6 @@ func TestQuadraticShape(t *testing.T) {
 	}
 	// Peak at N* with value κN*/2.
 	peak := q.Speedup(q.NStar)
-	if math.Abs(peak-q.PeakSpeedup()) > 1e-9 {
-		t.Errorf("g(N*) = %g, want %g", peak, q.PeakSpeedup())
-	}
 	if math.Abs(peak-0.46*1e5/2) > 1e-9 {
 		t.Errorf("peak = %g, want %g", peak, 0.46*1e5/2)
 	}

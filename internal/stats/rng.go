@@ -102,41 +102,6 @@ func (r *RNG) Weibull(scale, shape float64) float64 {
 	return scale * math.Pow(-math.Log(u), 1/shape)
 }
 
-// Normal samples a normal value via Box–Muller.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
-// PoissonSample samples a Poisson-distributed count with the given mean,
-// using Knuth's method for small means and a normal approximation above 500
-// (where the approximation error is far below the simulation noise floor).
-func (r *RNG) PoissonSample(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 500 {
-		v := r.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Jitter returns v perturbed by a uniform relative error in [-ratio, +ratio],
 // clamped at zero. The paper's simulator jitters checkpoint/restart
 // overheads with a random error ratio of up to 30% (Section IV-A).

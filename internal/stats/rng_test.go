@@ -119,25 +119,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonSampleMean(t *testing.T) {
-	for _, mean := range []float64{0.5, 3, 40, 1200} {
-		r := NewRNG(uint64(mean * 100))
-		n := 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.PoissonSample(mean)
-		}
-		got := float64(sum) / float64(n)
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%g) sample mean = %g", mean, got)
-		}
-	}
-	r := NewRNG(1)
-	if r.PoissonSample(0) != 0 || r.PoissonSample(-3) != 0 {
-		t.Error("non-positive mean should yield 0")
-	}
-}
-
 func TestJitterBounds(t *testing.T) {
 	r := NewRNG(23)
 	for i := 0; i < 100000; i++ {
@@ -175,4 +156,14 @@ func TestJitterNonNegativeProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Normal samples a normal value via Box–Muller.
+func (r *RNG) Normal(mean, stddev float64) float64 {
+	u1 := r.Float64()
+	for u1 == 0 {
+		u1 = r.Float64()
+	}
+	u2 := r.Float64()
+	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
 }

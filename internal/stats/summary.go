@@ -69,54 +69,6 @@ func CI95(xs []float64) float64 {
 	return 1.96 * s.StdDev / math.Sqrt(float64(len(xs)))
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Histogram bins xs into n equal-width bins over [min, max] and returns the
-// counts plus the bin edges (n+1 values).
-func Histogram(xs []float64, n int) (counts []int, edges []float64) {
-	if n < 1 || len(xs) == 0 {
-		return nil, nil
-	}
-	s := Summarize(xs)
-	lo, hi := s.Min, s.Max
-	//lint:allow floateq exact equality is the degenerate all-equal-samples case that would make the bin width zero
-	if lo == hi {
-		hi = lo + 1
-	}
-	counts = make([]int, n)
-	edges = make([]float64, n+1)
-	width := (hi - lo) / float64(n)
-	for i := range edges {
-		edges[i] = lo + width*float64(i)
-	}
-	for _, v := range xs {
-		idx := int((v - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		counts[idx]++
-	}
-	return counts, edges
-}
-
 // RelErr returns |a-b| / max(|a|, |b|, tiny), a symmetric relative error.
 // Experiment validation (Figure 4) asserts on this metric (< 4%).
 func RelErr(a, b float64) float64 {

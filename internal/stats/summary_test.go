@@ -67,57 +67,6 @@ func TestCI95ShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %g", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Errorf("q1 = %g", q)
-	}
-	if q := Quantile(xs, 0.5); q != 3 {
-		t.Errorf("q0.5 = %g", q)
-	}
-	if q := Quantile(xs, 0.25); q != 2 {
-		t.Errorf("q0.25 = %g", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) || !math.IsNaN(Quantile(xs, 2)) {
-		t.Error("invalid quantile inputs should yield NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	counts, edges := Histogram(xs, 5)
-	if len(counts) != 5 || len(edges) != 6 {
-		t.Fatalf("shape: %d bins, %d edges", len(counts), len(edges))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Errorf("histogram lost samples: %d/%d", total, len(xs))
-	}
-	if counts[0] != 2 || counts[4] != 2 {
-		t.Errorf("counts = %v", counts)
-	}
-	if c, e := Histogram(nil, 5); c != nil || e != nil {
-		t.Error("empty histogram should be nil")
-	}
-}
-
-func TestHistogramConstantSample(t *testing.T) {
-	counts, _ := Histogram([]float64{3, 3, 3}, 4)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("constant-sample histogram lost values: %v", counts)
-	}
-}
-
 func TestRelErr(t *testing.T) {
 	if e := RelErr(100, 104); math.Abs(e-4.0/104.0) > 1e-12 {
 		t.Errorf("RelErr = %g", e)
@@ -154,29 +103,6 @@ func TestSummaryOrderingProperty(t *testing.T) {
 		return s.Min <= s.Median && s.Median <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: quantile is monotone in q.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	prop := func(seed uint64) bool {
-		r := NewRNG(seed)
-		xs := make([]float64, 50)
-		for i := range xs {
-			xs[i] = r.Normal(0, 10)
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.05 {
-			v := Quantile(xs, q)
-			if v < prev-1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

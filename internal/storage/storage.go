@@ -148,17 +148,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 3, Base: 0.5, Factor: 2}
 }
 
-// Validate checks the policy parameters.
-func (p RetryPolicy) Validate() error {
-	if p.MaxRetries < 0 {
-		return fmt.Errorf("%w: %d retries", ErrStorage, p.MaxRetries)
-	}
-	if p.Base < 0 || (p.MaxRetries > 0 && p.Factor < 1 && p.Factor != 0) {
-		return fmt.Errorf("%w: backoff base %g factor %g", ErrStorage, p.Base, p.Factor)
-	}
-	return nil
-}
-
 // Backoff returns the delay in seconds before retry `retry` (0-based).
 func (p RetryPolicy) Backoff(retry int) float64 {
 	if retry < 0 {

@@ -144,24 +144,6 @@ func TestEncodeGroupSizeEffect(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyValidate(t *testing.T) {
-	if err := DefaultRetryPolicy().Validate(); err != nil {
-		t.Fatalf("default invalid: %v", err)
-	}
-	if err := (RetryPolicy{}).Validate(); err != nil {
-		t.Fatalf("zero policy invalid: %v", err)
-	}
-	if err := (RetryPolicy{MaxRetries: -1}).Validate(); !errors.Is(err, ErrStorage) {
-		t.Errorf("negative retries: %v", err)
-	}
-	if err := (RetryPolicy{MaxRetries: 2, Base: -1}).Validate(); !errors.Is(err, ErrStorage) {
-		t.Errorf("negative base: %v", err)
-	}
-	if err := (RetryPolicy{MaxRetries: 2, Base: 1, Factor: 0.5}).Validate(); !errors.Is(err, ErrStorage) {
-		t.Errorf("shrinking factor: %v", err)
-	}
-}
-
 func TestRetryBackoffSchedule(t *testing.T) {
 	p := RetryPolicy{MaxRetries: 3, Base: 0.5, Factor: 2}
 	want := []float64{0.5, 1, 2}

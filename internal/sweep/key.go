@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Key builds a canonical cache key from a scope label and the values that
@@ -30,6 +31,19 @@ func Key(scope string, parts ...any) (string, error) {
 		}
 	}
 	return scope + ":" + hex.EncodeToString(h.Sum(nil)[:16]), nil
+}
+
+// KeyTag shortens a key ("scope:hexdigest") to its last 8 hex digits —
+// enough to disambiguate trace-track labels without drowning the timeline
+// in full digests.
+func KeyTag(key string) string {
+	if i := strings.LastIndexByte(key, ':'); i >= 0 {
+		key = key[i+1:]
+	}
+	if len(key) > 8 {
+		key = key[len(key)-8:]
+	}
+	return key
 }
 
 // MustKey is Key for values statically known to be marshalable; it panics

@@ -101,9 +101,17 @@ type SpeedupSpec struct {
 
 // Model materializes the speedup model.
 func (s SpeedupSpec) Model() (speedup.Model, error) {
+	for _, v := range [...]float64{s.Kappa, s.IdealScale, s.SerialFraction} {
+		if !finite(v) {
+			return nil, fmt.Errorf("%w: speedup parameter %g", ErrSpec, v)
+		}
+	}
 	if s.Kind == "table" {
 		samples := make([]speedup.Sample, len(s.Points))
 		for i, p := range s.Points {
+			if !finite(p[0]) || !finite(p[1]) {
+				return nil, fmt.Errorf("%w: speedup point %d %v", ErrSpec, i, p)
+			}
 			samples[i] = speedup.Sample{N: p[0], Speedup: p[1]}
 		}
 		m, err := speedup.NewInterpolated(samples)
@@ -165,9 +173,12 @@ type Spec struct {
 	BaselineScale float64 `json:"baselineScale,omitempty"`
 }
 
-// Params materializes the analytic model parameters.
+// Params materializes the analytic model parameters. Every number must be
+// finite, T_e must be positive in seconds, and costs, caps, the allocation
+// period and the baseline scale must be non-negative.
 func (s Spec) Params() (*model.Params, error) {
-	if s.TeCoreDays <= 0 {
+	te := s.TeCoreDays * failure.SecondsPerDay
+	if !(te > 0) || !finite(te) {
 		return nil, fmt.Errorf("%w: teCoreDays %g", ErrSpec, s.TeCoreDays)
 	}
 	g, err := s.Speedup.Model()
@@ -181,12 +192,23 @@ func (s Spec) Params() (*model.Params, error) {
 		return nil, fmt.Errorf("%w: %d failure rates for %d levels", ErrSpec, len(s.FailuresPerDay), len(s.Levels))
 	}
 	for i, r := range s.FailuresPerDay {
-		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+		if !finiteNonNeg(r) {
 			return nil, fmt.Errorf("%w: level %d failure rate %g", ErrSpec, i+1, r)
 		}
 	}
+	if !finiteNonNeg(s.AllocSeconds) {
+		return nil, fmt.Errorf("%w: allocSeconds %g", ErrSpec, s.AllocSeconds)
+	}
+	if !finiteNonNeg(s.BaselineScale) {
+		return nil, fmt.Errorf("%w: baselineScale %g", ErrSpec, s.BaselineScale)
+	}
 	levels := make([]overhead.Level, len(s.Levels))
 	for i, l := range s.Levels {
+		for _, v := range [...]float64{l.CheckpointConst, l.CheckpointSlope, l.RecoveryConst, l.RecoverySlope, l.SaturationCap} {
+			if !finiteNonNeg(v) {
+				return nil, fmt.Errorf("%w: level %d cost parameter %g", ErrSpec, i+1, v)
+			}
+		}
 		ck := overhead.Cost{Const: l.CheckpointConst, Coeff: l.CheckpointSlope, H: overhead.LinearN, Cap: l.SaturationCap}
 		if l.CheckpointSlope == 0 {
 			ck.H = overhead.Zero
@@ -204,7 +226,7 @@ func (s Spec) Params() (*model.Params, error) {
 		baseline = g.IdealScale()
 	}
 	p := &model.Params{
-		Te:      s.TeCoreDays * failure.SecondsPerDay,
+		Te:      te,
 		Speedup: g,
 		Levels:  levels,
 		Alloc:   s.AllocSeconds,
@@ -215,6 +237,12 @@ func (s Spec) Params() (*model.Params, error) {
 	}
 	return p, nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
+
+// finiteNonNeg reports whether v is a finite number ≥ 0.
+func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // Plan is an optimized checkpoint configuration.
 type Plan struct {

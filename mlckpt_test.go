@@ -71,6 +71,27 @@ func TestSpecValidation(t *testing.T) {
 		{"negative rate", func(s *Spec) { s.FailuresPerDay[0] = -4 }},
 		{"NaN rate", func(s *Spec) { s.FailuresPerDay[1] = math.NaN() }},
 		{"infinite rate", func(s *Spec) { s.FailuresPerDay[3] = math.Inf(1) }},
+		{"T_e overflows seconds", func(s *Spec) { s.TeCoreDays = 1e304 }},
+		{"infinite workload", func(s *Spec) { s.TeCoreDays = math.Inf(1) }},
+		{"NaN workload", func(s *Spec) { s.TeCoreDays = math.NaN() }},
+		{"NaN kappa", func(s *Spec) { s.Speedup.Kappa = math.NaN() }},
+		{"NaN ideal scale", func(s *Spec) { s.Speedup.IdealScale = math.NaN() }},
+		{"infinite ideal scale", func(s *Spec) { s.Speedup.IdealScale = math.Inf(1) }},
+		{"NaN serial fraction", func(s *Spec) { s.Speedup.SerialFraction = math.NaN() }},
+		{"NaN table point", func(s *Spec) {
+			s.Speedup = SpeedupSpec{Kind: "table", Points: [][2]float64{{1, 1}, {1e3, math.NaN()}}}
+		}},
+		{"NaN alloc", func(s *Spec) { s.AllocSeconds = math.NaN() }},
+		{"negative alloc", func(s *Spec) { s.AllocSeconds = -1 }},
+		{"NaN checkpoint const", func(s *Spec) { s.Levels[0].CheckpointConst = math.NaN() }},
+		{"NaN recovery const", func(s *Spec) { s.Levels[0].RecoveryConst = math.NaN() }},
+		{"negative checkpoint const", func(s *Spec) { s.Levels[1].CheckpointConst = -1 }},
+		{"negative checkpoint slope", func(s *Spec) { s.Levels[3].CheckpointSlope = -0.01 }},
+		{"negative recovery slope", func(s *Spec) { s.Levels[3].RecoverySlope = -0.01 }},
+		{"negative saturation cap", func(s *Spec) { s.Levels[3].SaturationCap = -5 }},
+		{"infinite saturation cap", func(s *Spec) { s.Levels[3].SaturationCap = math.Inf(1) }},
+		{"infinite baseline scale", func(s *Spec) { s.BaselineScale = math.Inf(1) }},
+		{"negative baseline scale", func(s *Spec) { s.BaselineScale = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

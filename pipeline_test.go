@@ -59,7 +59,7 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 	fitted, err := overhead.Fit(overhead.Characterization{
 		Scales: []float64{32, 64, 128},
 		Costs:  table,
-	}, overhead.FitOptions{})
+	})
 	if err != nil {
 		t.Fatalf("fit: %v", err)
 	}

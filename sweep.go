@@ -2,28 +2,11 @@ package mlckpt
 
 import (
 	"fmt"
-	"strings"
 
 	"mlckpt/internal/obs"
 	"mlckpt/internal/stats"
 	"mlckpt/internal/sweep"
 )
-
-// trackTag shortens a cache key ("scope:hexdigest") to its last 8 hex
-// digits for trace-track labels, falling back to the job name when the
-// spec could not be keyed.
-func trackTag(key, name string) string {
-	if key == "" {
-		return name
-	}
-	if i := strings.LastIndexByte(key, ':'); i >= 0 {
-		key = key[i+1:]
-	}
-	if len(key) > 8 {
-		key = key[len(key)-8:]
-	}
-	return key
-}
 
 // SweepJob is one cell of a parameter sweep: a problem, a policy, and an
 // optional simulation of the optimized plan.
@@ -135,8 +118,14 @@ func Sweep(jobs []SweepJob, opts SweepOptions) []SweepOutcome {
 		// equal labels, whichever duplicate computes), falling back to the
 		// job name for non-marshalable specs — still a pure function of the
 		// job list, never of scheduling.
-		solveTrack := "opt/" + trackTag(solveKey, name)
-		simTrack := "sim/" + trackTag(postKey, name)
+		tag := func(key string) string {
+			if key == "" {
+				return name
+			}
+			return sweep.KeyTag(key)
+		}
+		solveTrack := "opt/" + tag(solveKey)
+		simTrack := "sim/" + tag(postKey)
 		ej := sweep.Job{
 			Name:     name,
 			SolveKey: solveKey,
