@@ -228,6 +228,31 @@ func BenchmarkSimulateRun(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateCell measures one 100-run evaluation cell through
+// sim.Simulate (Te = 0.3M core-days, 16-12-8-4, ±30% jitter) at the
+// ML(ori-scale) and SL(ori-scale) plans, the grid's two costliest cells.
+// Run it at -cpu 1,2: RunMany spreads the runs over GOMAXPROCS workers.
+func BenchmarkSimulateCell(b *testing.B) {
+	sc := experiments.EvalScenario(0.3e6, "16-12-8-4")
+	for _, pol := range []core.Policy{core.MLOriScale, core.SLOriScale} {
+		sol, x, err := experiments.SolvePolicyObs(sc, pol, nil, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := sim.Config{
+			Params: sc.Params(), N: sol.N, X: x, JitterRatio: sc.Jitter,
+			MaxWallClock: sc.MaxDays * failure.SecondsPerDay,
+		}
+		b.Run(pol.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Simulate(cfg, sc.Runs, sc.Seed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Ablation benches (DESIGN.md section 5) ---
 
 // BenchmarkAblationNumericGradN compares the analytic Formula (24) scale

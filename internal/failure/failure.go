@@ -152,33 +152,33 @@ func NewProcess(r Rates, n float64, dist Distribution, shape float64, rng *stats
 		p.rate[i] = r.PerSecondAt(i, n)
 	}
 	for i := range p.next {
-		p.next[i] = p.sampleInterarrival(i)
+		p.next[i] = interarrival(rng, p.rate[i], dist, shape)
 	}
 	return p
-}
-
-func (p *Process) sampleInterarrival(level int) float64 {
-	return interarrival(p.rng, p.rate[level], p.dist, p.shape)
 }
 
 // interarrival samples one interarrival time at the given rate under the
 // chosen distribution. Process and Trace share this single code path so
 // the Weibull mean-matching (scale = mean / Γ(1+1/shape), making the
 // Weibull mean equal the exponential mean at the same rate) cannot drift
-// between the two samplers.
+// between the two samplers. The exponential arm is stats.RNG.Exponential
+// written out, draw for draw, so the simulator's failure path reaches
+// math.Log one call below Process.Next.
 func interarrival(rng *stats.RNG, rate float64, dist Distribution, shape float64) float64 {
 	if rate <= 0 {
 		return math.Inf(1)
 	}
-	switch dist {
-	case Weibull:
+	if dist == Weibull {
 		mean := 1 / rate
 		// Weibull mean = scale·Γ(1+1/shape); match means.
 		scale := mean / math.Gamma(1+1/shape)
 		return rng.Weibull(scale, shape)
-	default:
-		return rng.Exponential(rate)
 	}
+	u := rng.Float64()
+	for u == 0 {
+		u = rng.Float64()
+	}
+	return -math.Log(u) / rate
 }
 
 // Next returns the earliest pending failure event at or after time `from`
@@ -200,7 +200,7 @@ func (p *Process) Next(from float64) (Event, bool) {
 	}
 	// Arrivals are absolute times; push the chosen level forward.
 	ev := Event{Time: best, Level: lvl}
-	p.next[lvl] = best + p.sampleInterarrival(lvl)
+	p.next[lvl] = best + interarrival(p.rng, p.rate[lvl], p.dist, p.shape)
 	if ev.Time < from {
 		// The caller skipped past this arrival (e.g. failures during an
 		// ignored window); re-issue at the caller's horizon.

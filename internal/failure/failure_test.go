@@ -243,11 +243,13 @@ func TestRateProportionalityProperty(t *testing.T) {
 
 // TestProcessMatchesUnboundRates pins Process, which binds λ_i(N) once at
 // construction, to the unbound formula: a reference loop beside it draws
-// every arrival as interarrival(rng, r.PerSecondAt(i, n), …) from its own
-// RNG at the same seed. The simulator's oracle calls the same Process, so
-// this test is what holds the sampler itself. Events, the no-event flag
-// and the RNG stream after the last step must be identical, including
-// steps whose horizon skips past pending arrivals.
+// every arrival at r.PerSecondAt(i, n) from its own RNG at the same seed —
+// exponential arrivals through stats.RNG.Exponential, which interarrival
+// writes out, Weibull ones through interarrival. The simulator's oracle
+// calls the same Process, so this test is what holds the sampler itself.
+// Events, the no-event flag and the RNG stream after the last step must
+// be identical, including steps whose horizon skips past pending
+// arrivals.
 func TestProcessMatchesUnboundRates(t *testing.T) {
 	specs := []string{"16-12-8-4", "4-0-2-0", "0-0-0", "0.5", "1000-0.001-3"}
 	scales := []float64{1, 64, 1024, 5e5, 3e6}
@@ -262,9 +264,15 @@ func TestProcessMatchesUnboundRates(t *testing.T) {
 				seed := uint64(len(spec))*1000 + uint64(n)
 				rng, refRNG := stats.NewRNG(seed), stats.NewRNG(seed)
 				proc := NewProcess(r, n, dist, shape, rng)
+				draw := func(rate float64) float64 {
+					if dist == Exponential {
+						return refRNG.Exponential(rate)
+					}
+					return interarrival(refRNG, rate, dist, shape)
+				}
 				next := make([]float64, r.Levels())
 				for i := range next {
-					next[i] = interarrival(refRNG, r.PerSecondAt(i, n), dist, shape)
+					next[i] = draw(r.PerSecondAt(i, n))
 				}
 				horizon := stats.NewRNG(seed + 1)
 				from := 0.0
@@ -280,7 +288,7 @@ func TestProcessMatchesUnboundRates(t *testing.T) {
 					var want Event
 					if wantOK {
 						want = Event{Time: best, Level: lvl}
-						next[lvl] = best + interarrival(refRNG, r.PerSecondAt(lvl, n), dist, shape)
+						next[lvl] = best + draw(r.PerSecondAt(lvl, n))
 						if want.Time < from {
 							want.Time = from
 						}

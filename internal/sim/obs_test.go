@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mlckpt/internal/obs"
+	"mlckpt/internal/stats"
 )
 
 func TestRunManyTracesOnlyFirstRun(t *testing.T) {
@@ -84,5 +85,27 @@ func TestNilRecorderLeavesResultsUnchanged(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, observed) {
 		t.Error("simulation results change when a Recorder is attached")
+	}
+}
+
+// TestTrackWithoutRecorderAllocatesNothing: a trace track with no recorder
+// attached builds no span arguments. RunMany and the sweep layers pass a
+// cell's track whatever their recorder is, so the first run of every
+// untraced cell used to build up to a budget's worth of span maps for
+// obs.Nop.
+func TestTrackWithoutRecorderAllocatesNothing(t *testing.T) {
+	cfg := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
+	cfg.JitterRatio = 0.3
+	allocs := func(cfg Config) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(cfg, stats.NewRNG(7)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain := allocs(cfg)
+	cfg.ObsTrack = "sim/untraced"
+	if tracked := allocs(cfg); tracked != plain {
+		t.Errorf("Run with ObsTrack and nil Obs: %v allocs/op, want %v as without a track", tracked, plain)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"mlckpt/internal/failure"
@@ -195,6 +196,12 @@ func diffRun(cfg Config, seed uint64, withObs bool) string {
 	if !withObs {
 		return ""
 	}
+	return diffCollectors(colGot, colWant)
+}
+
+// diffCollectors describes the first difference between two collectors'
+// trace JSON and metrics snapshots.
+func diffCollectors(colGot, colWant *obs.Collector) string {
 	traceGot, err1 := json.Marshal(colGot.Trace)
 	traceWant, err2 := json.Marshal(colWant.Trace)
 	if err1 != nil || err2 != nil {
@@ -286,4 +293,76 @@ func FuzzRunMatchesReference(f *testing.F) {
 			t.Fatal(d)
 		}
 	})
+}
+
+// serialRuns is RunMany's contract written as a plain loop: one generator
+// per run split from the seed in run order, and only run 0 keeping its
+// trace track.
+func serialRuns(cfg Config, runs int, seed uint64) ([]Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	root := stats.NewRNG(seed)
+	quiet := cfg
+	quiet.ObsTrack = ""
+	out := make([]Result, runs)
+	for i := range out {
+		c := quiet
+		if i == 0 {
+			c = cfg
+		}
+		var err error
+		if out[i], err = Run(c, root.Split()); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// TestRunManyMatchesSerialRuns holds the parallel batch to serialRuns over
+// the TestRunMatchesReference generator, at several GOMAXPROCS values:
+// the same error, every result by float64 bits with its per-level counts
+// and events, and — with a collector attached — the same trace JSON and
+// metrics snapshot, whatever the workers' interleaving.
+func TestRunManyMatchesSerialRuns(t *testing.T) {
+	trials := 400
+	if testing.Short() {
+		trials = 40
+	}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			g := stats.NewRNG(20261019)
+			for k := 0; k < trials; k++ {
+				cfgSeed, seed := g.Uint64(), g.Uint64()
+				runs := 1 + g.Intn(12)
+				cfg := randomRefConfig(stats.NewRNG(cfgSeed))
+				cfgGot, cfgWant := cfg, cfg
+				var colGot, colWant *obs.Collector
+				if k%2 == 0 {
+					colGot, colWant = obs.NewCollector(), obs.NewCollector()
+					cfgGot.Obs, cfgWant.Obs = colGot, colWant
+				}
+				got, errGot := RunMany(cfgGot, runs, seed)
+				want, errWant := serialRuns(cfgWant, runs, seed)
+				if fmt.Sprint(errGot) != fmt.Sprint(errWant) {
+					t.Fatalf("trial %d (config seed %#x): error %v, want %v", k, cfgSeed, errGot, errWant)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("trial %d (config seed %#x): %d results, want %d", k, cfgSeed, len(got), len(want))
+				}
+				for i := range got {
+					if d := diffResult(got[i], want[i]); d != "" {
+						t.Fatalf("trial %d (config seed %#x) run %d: %s", k, cfgSeed, i, d)
+					}
+				}
+				if colGot == nil {
+					continue
+				}
+				if d := diffCollectors(colGot, colWant); d != "" {
+					t.Fatalf("trial %d (config seed %#x): %s", k, cfgSeed, d)
+				}
+			}
+		})
+	}
 }

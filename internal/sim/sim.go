@@ -85,7 +85,8 @@ type Config struct {
 	// ObsTrack names the trace track of this run. It must derive from
 	// the run's content (scenario, policy, cache key) so traces are
 	// identical for every worker count; empty suppresses spans while
-	// keeping counters.
+	// keeping counters. It has no effect while Obs is nil: no span is
+	// built for a run that has no recorder.
 	ObsTrack string `json:"-"`
 	// ObsMaxEvents bounds the trace events one run may emit: an optimized
 	// exascale run takes tens of thousands of checkpoints, which would
@@ -165,12 +166,13 @@ func Run(cfg Config, rng *stats.RNG) (Result, error) {
 
 // runner is one execution bound to its configuration. bind resolves every
 // quantity that is fixed for the run — the productive time P, each level's
-// checkpoint period τ_i = P/x_i and overheads C_i(N) and R_i(N), the
-// truncation horizon and the trace budget — and run plays the event loop
-// over them. Each level's next checkpoint mark is cached and refreshed
-// only where its interval index changes. The RNG draw sequence, the order
-// of every float operation and every obs call match the closure-based
-// form kept as runRef in run_ref_test.go, so results are bit-identical.
+// overheads C_i(N) and R_i(N), which levels checkpoint at all and their
+// periods τ_i = P/x_i, the truncation horizon and the trace budget — and
+// run plays the event loop over them. Each checkpointing level's next mark
+// is cached and refreshed only where its interval index changes, and so is
+// the due scan over the marks. The RNG draw sequence, the order of every
+// float operation and every obs call match the closure-based form kept as
+// runRef in run_ref_test.go, so results are bit-identical.
 type runner struct {
 	cfg     Config // by value: holding a pointer moves the caller's Config to the heap
 	rng     *stats.RNG
@@ -178,22 +180,38 @@ type runner struct {
 	P       float64 // the run completes when progress reaches P = T_e/g(N)
 	maxWall float64 // truncation horizon
 
-	tau      []float64 // per-level checkpoint period in progress seconds
-	xEnd     []float64 // x_i − 1e-9: a mark index at or past it is the run's end
-	ckptCost []float64 // C_i(N)
-	recCost  []float64 // R_i(N)
-
-	nextMark     []int     // next interval index to checkpoint (1..x_i-1)
-	mark         []float64 // markAt(i), refreshed whenever nextMark[i] changes
+	ckptCost     []float64 // C_i(N)
+	recCost      []float64 // R_i(N)
 	lastCkpt     []float64 // progress of newest completed ckpt per level (0 = start)
 	furthestCkpt []float64 // furthest progress ever checkpointed per level
+
+	// Checkpoint marks, indexed by k over the checkpointing levels: those
+	// with x_i − 1e-9 > 1, in ascending order. Any other level's mark
+	// would be +Inf for the whole run (its interval index never drops
+	// below 1), so the due scan, the mark refresh and strike skip it.
+	// Every single-level policy has x = (1, …, 1, x_L).
+	level    []int     // the level i of index k
+	tau      []float64 // checkpoint period P/x_i in progress seconds
+	xEnd     []float64 // x_i − 1e-9: a mark index at or past it is the run's end
+	nextMark []int     // next interval index to checkpoint (1..x_i-1)
+	mark     []float64 // markAt(k), refreshed whenever nextMark[k] changes
+	marksAt  float64   // progress strike last derived the marks from; NaN before the first strike and after a checkpoint
+
+	// The due scan's state after visiting indices n-1 down to k (n =
+	// len(mark)): dueMark[k] is the earliest mark among them, a lower
+	// index taking over only with a mark earlier by more than the
+	// tolerance, and dueIdx[k] its index; +Inf and -1 at k = n. Entry k
+	// depends on marks k.. only, so a checkpoint at index d refreshes
+	// entries d down to 0, and the next due checkpoint is entry 0.
+	dueMark []float64
+	dueIdx  []int
 
 	// Failure source: a stochastic process by default, or (proc == nil)
 	// the unread rest of a fixed replay trace. The next failure stays
 	// pending until consumed.
 	proc        *failure.Process
 	replay      []failure.Event
-	pendingFail failure.Event
+	pending     failure.Event
 	havePending bool
 
 	wall     float64 // wall-clock seconds
@@ -202,7 +220,8 @@ type runner struct {
 	res      Result
 
 	rec            obs.Recorder
-	budget         int // trace events left; negative means unlimited
+	traced         bool // ObsTrack is set and a recorder is attached
+	budget         int  // trace events left; negative means unlimited
 	truncatedTrace bool
 }
 
@@ -230,27 +249,39 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 	// of times, so the fixed per-call allocation count matters. The two
 	// slices returned inside Result get their capacity clipped so an
 	// appending caller can never spill into a neighboring slab region.
-	floats := make([]float64, 7*L)
-	ints := make([]int, 3*L)
-	r.tau = floats[0*L : 1*L]
-	r.xEnd = floats[1*L : 2*L]
-	r.ckptCost = floats[2*L : 3*L]
-	r.recCost = floats[3*L : 4*L]
-	r.mark = floats[4*L : 5*L]
-	r.lastCkpt = floats[5*L : 6*L]
-	r.furthestCkpt = floats[6*L : 7*L]
-	r.nextMark = ints[0*L : 1*L]
-	r.res.Failures = ints[1*L : 2*L : 2*L]
-	r.res.CheckpointsTaken = ints[2*L : 3*L : 3*L]
+	floats := make([]float64, 8*L+1)
+	ints := make([]int, 5*L+1)
+	r.ckptCost = floats[0*L : 1*L]
+	r.recCost = floats[1*L : 2*L]
+	r.lastCkpt = floats[2*L : 3*L]
+	r.furthestCkpt = floats[3*L : 4*L]
+	r.res.Failures = ints[0*L : 1*L : 1*L]
+	r.res.CheckpointsTaken = ints[1*L : 2*L : 2*L]
+	r.level = ints[2*L : 2*L]
 	for i := 0; i < L; i++ {
-		r.tau[i] = P / cfg.X[i]
-		r.xEnd[i] = cfg.X[i] - 1e-9
 		r.ckptCost[i] = p.Levels[i].Checkpoint.At(n)
 		r.recCost[i] = p.Levels[i].Recovery.At(n)
-		r.nextMark[i] = 1
-		r.mark[i] = r.markAt(i)
 		r.furthestCkpt[i] = -1
+		if cfg.X[i]-1e-9 > 1 {
+			r.level = append(r.level, i)
+		}
 	}
+	K := len(r.level)
+	r.tau = floats[4*L : 4*L+K]
+	r.xEnd = floats[5*L : 5*L+K]
+	r.mark = floats[6*L : 6*L+K]
+	r.dueMark = floats[7*L : 7*L+K+1]
+	r.nextMark = ints[3*L : 3*L+K]
+	r.dueIdx = ints[4*L : 4*L+K+1]
+	for k, i := range r.level {
+		r.tau[k] = P / cfg.X[i]
+		r.xEnd[k] = cfg.X[i] - 1e-9
+		r.nextMark[k] = 1
+		r.mark[k] = r.markAt(k)
+	}
+	r.dueMark[K], r.dueIdx[K] = math.Inf(1), -1
+	r.rescan(K - 1)
+	r.marksAt = math.NaN()
 
 	if cfg.Replay != nil {
 		r.replay = cfg.Replay
@@ -261,10 +292,13 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 	// Telemetry: spans live on the run's virtual clock (wall), so the
 	// exported trace is a pure function of (cfg, rng seed) — identical
 	// bytes for any worker count. Tracing is gated on ObsTrack because a
-	// 100-run batch only traces its first run (see RunMany), and bounded
-	// by ObsMaxEvents so checkpoint-heavy runs cannot flood the timeline.
+	// 100-run batch only traces its first run (see RunMany), on a
+	// recorder because spans built for obs.Nop are pure allocation, and
+	// bounded by ObsMaxEvents so checkpoint-heavy runs cannot flood the
+	// timeline.
 	r.rec = obs.OrNop(cfg.Obs)
-	if cfg.ObsTrack != "" {
+	if cfg.ObsTrack != "" && r.rec != obs.Nop() {
+		r.traced = true
 		r.budget = cfg.ObsMaxEvents
 		if r.budget == 0 {
 			r.budget = 1000
@@ -273,53 +307,75 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 	return nil
 }
 
-// markAt returns level i's next checkpoint mark in progress seconds, or
-// +Inf when its interval index has reached x_i: there is no checkpoint at
-// the very end of the run.
-func (r *runner) markAt(i int) float64 {
-	if float64(r.nextMark[i]) >= r.xEnd[i] {
+// rescan refreshes the due scan's state from index hi down to 0 after
+// marks at or below hi changed.
+func (r *runner) rescan(hi int) {
+	for k := hi; k >= 0; k-- {
+		r.scanStep(k)
+	}
+}
+
+// scanStep is one step of the due scan: index k takes over from the
+// indices above it only with a mark earlier by more than the tolerance.
+func (r *runner) scanStep(k int) {
+	if m := r.mark[k]; m < r.dueMark[k+1]-1e-9 {
+		r.dueMark[k], r.dueIdx[k] = m, k
+	} else {
+		r.dueMark[k], r.dueIdx[k] = r.dueMark[k+1], r.dueIdx[k+1]
+	}
+}
+
+// markAt returns the next checkpoint mark of checkpointing level k in
+// progress seconds, or +Inf when its interval index has reached x_i:
+// there is no checkpoint at the very end of the run.
+func (r *runner) markAt(k int) float64 {
+	if float64(r.nextMark[k]) >= r.xEnd[k] {
 		return math.Inf(1)
 	}
-	return float64(r.nextMark[i]) * r.tau[i]
+	return float64(r.nextMark[k]) * r.tau[k]
 }
 
-// draw takes the next event from the failure source: the stochastic
-// process, or the replay trace (recorded from another run, or imported
-// from a real system's failure log).
-func (r *runner) draw(from float64) (failure.Event, bool) {
+// failureAt peeks at the next failure at or after from and returns its
+// time, or +Inf with havePending false when the source is exhausted: no
+// "failure before the horizon" test can pass then, whatever the horizon,
+// and a test that acts on a later or absent failure checks havePending.
+// The event stays in r.pending, its time clamped forward to the caller's
+// horizon, until the caller consumes it by clearing havePending. The draw
+// stays lazy — the recovery loop draws its jitter before it peeks — and
+// sits behind refill, so the peek inlines.
+func (r *runner) failureAt(from float64) float64 {
+	if !r.havePending {
+		return r.refill(from)
+	}
+	if r.pending.Time < from {
+		r.pending.Time = from
+	}
+	return r.pending.Time
+}
+
+// refill draws the next failure into r.pending from the failure source:
+// the stochastic process, or the replay trace (recorded from another run,
+// or imported from a real system's failure log). Either clamps the time
+// forward to from.
+func (r *runner) refill(from float64) float64 {
 	if r.proc != nil {
-		return r.proc.Next(from)
-	}
-	if len(r.replay) == 0 {
-		return failure.Event{}, false
-	}
-	ev := r.replay[0]
-	r.replay = r.replay[1:]
-	if ev.Level < 0 || ev.Level >= r.L {
-		// Clamp foreign traces with more classes than levels.
-		ev.Level = r.L - 1
-	}
-	if ev.Time < from {
-		ev.Time = from
-	}
-	return ev, true
-}
-
-// nextFailure peeks at the next failure at or after from. The event stays
-// pending, its time clamped forward to the caller's horizon, until the
-// caller consumes it by clearing havePending.
-func (r *runner) nextFailure(from float64) (failure.Event, bool) {
-	if r.havePending {
-		if r.pendingFail.Time < from {
-			r.pendingFail.Time = from
+		r.pending, r.havePending = r.proc.Next(from)
+	} else if len(r.replay) > 0 {
+		ev := r.replay[0]
+		r.replay = r.replay[1:]
+		if ev.Level < 0 || ev.Level >= r.L {
+			// Clamp foreign traces with more classes than levels.
+			ev.Level = r.L - 1
 		}
-		return r.pendingFail, true
+		if ev.Time < from {
+			ev.Time = from
+		}
+		r.pending, r.havePending = ev, true
 	}
-	ev, ok := r.draw(from)
-	if ok {
-		r.pendingFail, r.havePending = ev, true
+	if !r.havePending {
+		return math.Inf(1)
 	}
-	return ev, ok
+	return r.pending.Time
 }
 
 func (r *runner) record(kind EventKind, level int) {
@@ -329,9 +385,10 @@ func (r *runner) record(kind EventKind, level int) {
 }
 
 // tracing reports whether the next trace event may be emitted. It is
-// small enough to inline, so untraced runs pay one compare per event.
+// small enough to inline, so untraced runs pay one compare per event;
+// call sites test it before calling an emitter.
 func (r *runner) tracing() bool {
-	return r.cfg.ObsTrack != "" && r.spend()
+	return r.traced && r.spend()
 }
 
 // spend takes one unit of the trace budget; the first refusal emits the
@@ -352,19 +409,15 @@ func (r *runner) spend() bool {
 }
 
 func (r *runner) failureInstant(class int) {
-	if r.tracing() {
-		r.rec.Instant(r.cfg.ObsTrack, "failure", r.wall, map[string]float64{
-			"class": float64(class + 1), "progress": r.progress,
-		})
-	}
+	r.rec.Instant(r.cfg.ObsTrack, "failure", r.wall, map[string]float64{
+		"class": float64(class + 1), "progress": r.progress,
+	})
 }
 
 func (r *runner) rollbackInstant(restoreLvl int) {
-	if r.tracing() {
-		r.rec.Instant(r.cfg.ObsTrack, "rollback", r.wall, map[string]float64{
-			"to": r.progress, "restore_level": float64(restoreLvl + 1),
-		})
-	}
+	r.rec.Instant(r.cfg.ObsTrack, "rollback", r.wall, map[string]float64{
+		"to": r.progress, "restore_level": float64(restoreLvl + 1),
+	})
 }
 
 // strike applies the storage damage and rollback of a class-c failure:
@@ -373,6 +426,12 @@ func (r *runner) rollbackInstant(restoreLvl int) {
 // ≥ c (all of which lie at or before that point by construction). It
 // returns the level restored from — the cheapest level holding the
 // restore point — or -1 when execution restarts from scratch.
+//
+// The marks are a function of progress alone once strike has derived
+// them, so a strike that leaves progress where the previous one put it,
+// with no checkpoint in between — failures that keep striking before
+// the next checkpoint, the common case at high failure rates — keeps
+// them as they are.
 func (r *runner) strike(c int) int {
 	q := 0.0
 	for i := c; i < r.L; i++ {
@@ -386,9 +445,14 @@ func (r *runner) strike(c int) int {
 	if q < r.progress {
 		r.progress = q
 	}
-	for i := range r.nextMark {
-		r.nextMark[i] = int(r.progress/r.tau[i]+1e-9) + 1
-		r.mark[i] = r.markAt(i)
+	//lint:allow floateq marksAt is a copy of an earlier progress value, so identity means the derivation below would repeat bit for bit
+	if r.progress != r.marksAt {
+		for k := range r.mark {
+			r.nextMark[k] = int(r.progress/r.tau[k]+1e-9) + 1
+			r.mark[k] = r.markAt(k)
+		}
+		r.rescan(len(r.mark) - 1)
+		r.marksAt = r.progress
 	}
 	if q <= 0 {
 		return -1
@@ -411,23 +475,27 @@ func (r *runner) strike(c int) int {
 func (r *runner) handleFailure(c int) {
 	r.res.Failures[c]++
 	r.record(EvFailure, c)
-	r.failureInstant(c)
+	if r.tracing() {
+		r.failureInstant(c)
+	}
 	restoreLvl := r.strike(c)
-	r.rollbackInstant(restoreLvl)
+	if r.tracing() {
+		r.rollbackInstant(restoreLvl)
+	}
 	// Correlated-window merge (paper footnote 1): failures of class
 	// ≤ c arriving within the window belong to this event.
 	if r.cfg.CorrelationWindow > 0 {
 		for {
-			ev, ok := r.nextFailure(r.wall)
-			if !ok || ev.Time > r.wall+r.cfg.CorrelationWindow || ev.Level > c {
+			t := r.failureAt(r.wall)
+			if !r.havePending || t > r.wall+r.cfg.CorrelationWindow || r.pending.Level > c {
 				break
 			}
 			r.havePending = false
 			r.res.Absorbed++
-			r.record(EvAbsorbedFailure, ev.Level)
+			r.record(EvAbsorbedFailure, r.pending.Level)
 			if r.tracing() {
-				r.rec.Instant(r.cfg.ObsTrack, "failure-absorbed", ev.Time, map[string]float64{
-					"class": float64(ev.Level + 1),
+				r.rec.Instant(r.cfg.ObsTrack, "failure-absorbed", t, map[string]float64{
+					"class": float64(r.pending.Level + 1),
 				})
 			}
 		}
@@ -438,8 +506,8 @@ func (r *runner) handleFailure(c int) {
 		if restoreLvl >= 0 {
 			dur += r.rng.Jitter(r.recCost[restoreLvl], r.cfg.JitterRatio)
 		}
-		ev, ok := r.nextFailure(r.wall)
-		if !ok || ev.Time >= r.wall+dur {
+		t := r.failureAt(r.wall)
+		if !r.havePending || t >= r.wall+dur {
 			if r.tracing() {
 				r.rec.Span(r.cfg.ObsTrack, "recovery", r.wall, dur, map[string]float64{
 					"restore_level": float64(restoreLvl + 1),
@@ -454,21 +522,29 @@ func (r *runner) handleFailure(c int) {
 		// restart time; recovery begins again, possibly from an older
 		// checkpoint if the new class is higher.
 		r.havePending = false
+		lvl := r.pending.Level
 		if r.tracing() {
-			r.rec.Span(r.cfg.ObsTrack, "recovery-abort", r.wall, ev.Time-r.wall, map[string]float64{
+			r.rec.Span(r.cfg.ObsTrack, "recovery-abort", r.wall, t-r.wall, map[string]float64{
 				"restore_level": float64(restoreLvl + 1),
 			})
 		}
-		r.res.Restart += ev.Time - r.wall
-		r.wall = ev.Time
-		r.res.Failures[ev.Level]++
-		r.record(EvFailure, ev.Level)
-		r.failureInstant(ev.Level)
-		if ev.Level > c {
-			c = ev.Level
+		r.res.Restart += t - r.wall
+		r.wall = t
+		r.res.Failures[lvl]++
+		r.record(EvFailure, lvl)
+		if r.tracing() {
+			r.failureInstant(lvl)
 		}
-		restoreLvl = r.strike(c)
-		r.rollbackInstant(restoreLvl)
+		if lvl > c {
+			// Only a higher class can destroy more: at or below c, the
+			// last strike's restore point and marks stand, and strike
+			// would return the same level.
+			c = lvl
+			restoreLvl = r.strike(c)
+		}
+		if r.tracing() {
+			r.rollbackInstant(restoreLvl)
+		}
 	}
 }
 
@@ -483,14 +559,9 @@ func (r *runner) run() {
 		// Next due checkpoint mark: the earliest mark over levels; at equal
 		// marks the HIGHEST level wins and lower ones are skipped. The scan
 		// runs downward, so a lower level takes over only with a mark
-		// earlier by more than the tolerance.
-		dueProgress := math.Inf(1)
-		dueLevel := -1
-		for i := r.L - 1; i >= 0; i-- {
-			if m := r.mark[i]; m < dueProgress-1e-9 {
-				dueProgress, dueLevel = m, i
-			}
-		}
+		// earlier by more than the tolerance (scanStep); its result is
+		// kept up to date wherever a mark changes.
+		dueProgress, due := r.dueMark[0], r.dueIdx[0]
 		// min(dueProgress, P): neither is NaN and P > progress ≥ 0, so a
 		// plain compare is exactly math.Min.
 		segEnd := r.P
@@ -501,18 +572,17 @@ func (r *runner) run() {
 		// --- Productive segment [progress, segEnd) ---
 		segDur := segEnd - r.progress
 		if segDur > 0 {
-			ev, ok := r.nextFailure(r.wall)
-			if ok && ev.Time < r.wall+segDur {
+			if t := r.failureAt(r.wall); t < r.wall+segDur {
 				// Failure mid-segment.
 				r.havePending = false
-				ran := ev.Time - r.wall
+				ran := t - r.wall
 				advanceWork(&r.res, r.progress, r.progress+ran, r.furthest)
 				r.progress += ran
 				if r.progress > r.furthest {
 					r.furthest = r.progress
 				}
-				r.wall = ev.Time
-				r.handleFailure(ev.Level)
+				r.wall = t
+				r.handleFailure(r.pending.Level)
 				continue
 			}
 			advanceWork(&r.res, r.progress, segEnd, r.furthest)
@@ -527,13 +597,13 @@ func (r *runner) run() {
 		}
 
 		// --- Checkpoint at dueProgress, level dueLevel ---
+		dueLevel := r.level[due]
 		dur := r.rng.Jitter(r.ckptCost[dueLevel], r.cfg.JitterRatio)
 		redo := r.progress <= r.furthestCkpt[dueLevel]+1e-9
-		ev, ok := r.nextFailure(r.wall)
-		if ok && ev.Time < r.wall+dur {
+		if t := r.failureAt(r.wall); t < r.wall+dur {
 			// Checkpoint aborted by a failure: elapsed time is wasted.
 			r.havePending = false
-			wasted := ev.Time - r.wall
+			wasted := t - r.wall
 			if redo {
 				r.res.Rollback += wasted
 			} else {
@@ -542,9 +612,9 @@ func (r *runner) run() {
 			if r.tracing() {
 				r.checkpointSpan("checkpoint-abort", dueLevel, wasted, redo)
 			}
-			r.wall = ev.Time
+			r.wall = t
 			r.record(EvCheckpointAbort, dueLevel)
-			r.handleFailure(ev.Level)
+			r.handleFailure(r.pending.Level)
 			continue
 		}
 		if r.tracing() {
@@ -566,12 +636,16 @@ func (r *runner) run() {
 		// at the same progress point: the higher-level file restores those
 		// failure classes too (the restore lookup scans all levels ≥ c),
 		// so a separate lower-level checkpoint there would be pure waste.
-		for i := 0; i <= dueLevel; i++ {
-			if m := r.mark[i]; !math.IsInf(m, 1) && m < r.progress+1e-9 {
-				r.nextMark[i]++
-				r.mark[i] = r.markAt(i)
+		// The marks above due are unchanged, so the due scan restarts at
+		// due.
+		for k := due; k >= 0; k-- {
+			if r.mark[k] < r.progress+1e-9 { // never true of a +Inf mark
+				r.nextMark[k]++
+				r.mark[k] = r.markAt(k)
 			}
+			r.scanStep(k)
 		}
+		r.marksAt = math.NaN()
 	}
 
 	r.res.WallClock = r.wall
