@@ -139,9 +139,12 @@ type Process struct {
 	rate  []float64 // λ_i(N) per level, bound once: the scale is fixed
 }
 
-// NewProcess creates a sampling process at scale n using the given RNG. For
-// Weibull, shape must be positive; the scale parameter per level is chosen
-// so the mean interarrival matches the exponential case (rate equivalence).
+// NewProcess creates a sampling process at scale n using the given RNG. No
+// rate λ_i(n) may be NaN, nor the Weibull shape: Next orders arrivals by
+// their bits, which needs every arrival to be a number. The shape must
+// also be positive, or the level never fails. The Weibull scale parameter
+// per level is chosen so the mean interarrival matches the exponential
+// case (rate equivalence).
 func NewProcess(r Rates, n float64, dist Distribution, shape float64, rng *stats.RNG) *Process {
 	p := &Process{dist: dist, shape: shape, rng: rng}
 	// One allocation carries both per-level slices.
@@ -188,16 +191,26 @@ func interarrival(rng *stats.RNG, rate float64, dist Distribution, shape float64
 // For the exponential distribution the process is memoryless, so advancing
 // `from` without consuming events does not bias arrivals; for Weibull the
 // trace should be consumed in order.
+//
+//mlckpt:hotpath
 func (p *Process) Next(from float64) (Event, bool) {
-	best, lvl := math.Inf(1), -1
+	// The earliest arrival under a strict <, so the lowest level wins a
+	// tie. Every pending arrival is +0 ≤ t ≤ +Inf and never NaN, given
+	// NewProcess's preconditions, so the arrivals' IEEE bits read as
+	// int64 order them as their values do, and the compare becomes a
+	// mask: which level fails next is random, and a branch on it
+	// mispredicts.
+	bb, lvl := int64(math.Float64bits(math.Inf(1))), -1
 	for i, t := range p.next {
-		if t < best {
-			best, lvl = t, i
-		}
+		tb := int64(math.Float64bits(t))
+		m := (tb - bb) >> 63 // all ones when t < best
+		bb ^= (bb ^ tb) & m
+		lvl ^= (lvl ^ i) & int(m)
 	}
-	if lvl < 0 || math.IsInf(best, 1) {
+	if lvl < 0 {
 		return Event{}, false
 	}
+	best := math.Float64frombits(uint64(bb))
 	// Arrivals are absolute times; push the chosen level forward.
 	ev := Event{Time: best, Level: lvl}
 	p.next[lvl] = best + interarrival(p.rng, p.rate[lvl], p.dist, p.shape)

@@ -314,3 +314,112 @@ func TestProcessMatchesUnboundRates(t *testing.T) {
 		}
 	}
 }
+
+// TestProcessNextMatchesArgmin holds Next's mask-based selection to the
+// strict-< argmin it replaced (lowest level wins a tie, +Inf never fires)
+// on crafted arrival vectors: ties, +Inf and zero-rate levels, all levels
+// at +Inf, arrivals of 0 and arrivals across magnitudes from subnormal to
+// MaxFloat64, then on random vectors built from those values. It also
+// checks the precondition the bit compare rests on: every arrival that
+// NewProcess and Next hold under exponential and Weibull draws is +0 or
+// more (sign bit clear) and never NaN.
+func TestProcessNextMatchesArgmin(t *testing.T) {
+	inf := math.Inf(1)
+	argmin := func(next []float64) (float64, int) {
+		best, lvl := inf, -1
+		for i, at := range next {
+			if at < best {
+				best, lvl = at, i
+			}
+		}
+		return best, lvl
+	}
+	check := func(next, rate []float64, from float64) {
+		t.Helper()
+		p := &Process{rng: stats.NewRNG(1), next: append([]float64(nil), next...), rate: rate}
+		best, lvl := argmin(next)
+		ev, ok := p.Next(from)
+		if ok != (lvl >= 0) {
+			t.Fatalf("Next(%g) over %v: ok %t, want level %d", from, next, ok, lvl)
+		}
+		if !ok {
+			return
+		}
+		want := math.Max(best, from)
+		if ev.Level != lvl || math.Float64bits(ev.Time) != math.Float64bits(want) {
+			t.Fatalf("Next(%g) over %v = %+v, want level %d at %v", from, next, ev, lvl, want)
+		}
+		if rate[lvl] <= 0 && !math.IsInf(p.next[lvl], 1) {
+			t.Fatalf("zero-rate level %d rescheduled at %v", lvl, p.next[lvl])
+		}
+		for i := range next {
+			if i != lvl && math.Float64bits(p.next[i]) != math.Float64bits(next[i]) {
+				t.Fatalf("level %d moved from %v to %v", i, next[i], p.next[i])
+			}
+		}
+	}
+	ones := func(n int) []float64 {
+		r := make([]float64, n)
+		for i := range r {
+			r[i] = 1
+		}
+		return r
+	}
+	for _, next := range [][]float64{
+		{5, 3, 3, 7},               // tie: the lower level wins
+		{2, 2, 2, 2},               //
+		{inf, 4, 4},                //
+		{inf, 9, inf, 1},           // +Inf levels
+		{inf, inf},                 // nothing can fail
+		{inf},                      //
+		{},                         // no levels
+		{0, 0, 1},                  // arrivals at 0
+		{5, 0},                     //
+		{1e300, 5e-324, 1e-300, 1}, // across magnitudes, subnormal smallest
+		{math.MaxFloat64, inf},     //
+		{1e15 + 0.125, 1e15, 1e15}, // one ulp apart
+		{math.Nextafter(2, 3), 2},  //
+		{3, math.SmallestNonzeroFloat64, 0, math.SmallestNonzeroFloat64},
+	} {
+		check(next, ones(len(next)), 0)
+		check(next, ones(len(next)), 4) // re-issued at a later horizon
+		zero := ones(len(next))
+		for i := range zero {
+			zero[i] = float64(i % 2) // every other level never fails again
+		}
+		check(next, zero, 0)
+	}
+	pool := []float64{0, 5e-324, 1e-300, 0.5, 1, 1, 2, 1e15, 1e300, math.MaxFloat64, inf, inf}
+	g := stats.NewRNG(20261019)
+	for k := 0; k < 5000; k++ {
+		next := make([]float64, 1+g.Intn(6))
+		rate := make([]float64, len(next))
+		for i := range next {
+			next[i] = pool[g.Intn(len(pool))]
+			rate[i] = float64(g.Intn(3)) // zero for a third of the levels
+		}
+		check(next, rate, 0)
+	}
+
+	// The precondition, over rates from zero to far past any run's and
+	// Weibull shapes on both sides of 1.
+	rates := Rates{PerDay: []float64{0, 1e-6, 16, 1e6, 1e12}, Baseline: 1}
+	for _, dist := range []Distribution{Exponential, Weibull} {
+		for _, shape := range []float64{0.3, 0.7, 1, 2, 8} {
+			if dist == Exponential && shape != 1 {
+				continue
+			}
+			p := NewProcess(rates, 1, dist, shape, stats.NewRNG(uint64(shape*10)))
+			for step := 0; step < 2000; step++ {
+				for i, at := range p.next {
+					if math.IsNaN(at) || math.Signbit(at) {
+						t.Fatalf("%v shape %g step %d: level %d arrival %v", dist, shape, step, i, at)
+					}
+				}
+				if _, ok := p.Next(0); !ok {
+					t.Fatalf("%v shape %g step %d: process dried up", dist, shape, step)
+				}
+			}
+		}
+	}
+}

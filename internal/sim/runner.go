@@ -31,6 +31,13 @@ func RunMany(cfg Config, runs int, seed uint64) ([]Result, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("%w: runs = %d", ErrConfig, runs)
 	}
+	P, err := productiveTime(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The failure-free checkpoint schedule is a function of P and x alone:
+	// build it once, and let every run walk it read-only.
+	sched := newSchedule(P, cfg.X)
 	// Derive one independent RNG state per run up front so results do not
 	// depend on goroutine scheduling. Each run's generator is allocated by
 	// the worker that draws from it: allocated here, back to back, eight
@@ -67,7 +74,11 @@ func RunMany(cfg Config, runs int, seed uint64) ([]Result, error) {
 					c = cfg
 				}
 				rng := states[i]
-				results[i], errs[i] = Run(c, &rng)
+				var r runner
+				if errs[i] = r.bind(c, &rng); errs[i] == nil {
+					r.run(sched)
+					results[i] = r.res
+				}
 			}
 		}()
 	}

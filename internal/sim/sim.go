@@ -119,6 +119,18 @@ func (c *Config) Validate() error {
 	if c.JitterRatio < 0 || c.JitterRatio >= 1 {
 		return fmt.Errorf("%w: jitter ratio %g", ErrConfig, c.JitterRatio)
 	}
+	// A NaN rate or a NaN Weibull shape makes a class's arrivals NaN,
+	// and a shape ≤ 0 makes them +Inf: a class that silently never
+	// fails. failure.Process.Next also needs every arrival to be a
+	// number, since it orders them by their bits.
+	if c.Dist == failure.Weibull && !(c.WeibullShape > 0 && c.WeibullShape <= math.MaxFloat64) {
+		return fmt.Errorf("%w: Weibull shape %g", ErrConfig, c.WeibullShape)
+	}
+	for i := range c.Params.Rates.PerDay {
+		if rate := c.Params.Rates.PerSecondAt(i, c.N); math.IsNaN(rate) {
+			return fmt.Errorf("%w: failure rate of level %d at N=%g is NaN", ErrConfig, i+1, c.N)
+		}
+	}
 	return nil
 }
 
@@ -160,7 +172,7 @@ func Run(cfg Config, rng *stats.RNG) (Result, error) {
 	if err := r.bind(cfg, rng); err != nil {
 		return Result{}, err
 	}
-	r.run()
+	r.run(newSchedule(r.P, cfg.X))
 	return r.res, nil
 }
 
@@ -168,11 +180,16 @@ func Run(cfg Config, rng *stats.RNG) (Result, error) {
 // quantity that is fixed for the run — the productive time P, each level's
 // overheads C_i(N) and R_i(N), which levels checkpoint at all and their
 // periods τ_i = P/x_i, the truncation horizon and the trace budget — and
-// run plays the event loop over them. Each checkpointing level's next mark
-// is cached and refreshed only where its interval index changes, and so is
-// the due scan over the marks. The RNG draw sequence, the order of every
-// float operation and every obs call match the closure-based form kept as
-// runRef in run_ref_test.go, so results are bit-identical.
+// run plays the event loop over them along a schedule, the failure-free
+// sequence of checkpoint marks shared by every run of a batch. While the
+// run is on the schedule's chain, a checkpoint steps to the next state and
+// a strike whose restore point the chain covers jumps to its state; any
+// other strike, and a walk off the chain's end, resumes on the mark
+// machine, which caches each checkpointing level's next mark and the due
+// scan over them, refreshed only where an interval index changes. The RNG
+// draw sequence, the order of every float operation and every obs call
+// match the closure-based form kept as runRef in run_ref_test.go, so
+// results are bit-identical.
 type runner struct {
 	cfg     Config // by value: holding a pointer moves the caller's Config to the heap
 	rng     *stats.RNG
@@ -183,7 +200,11 @@ type runner struct {
 	ckptCost     []float64 // C_i(N)
 	recCost      []float64 // R_i(N)
 	lastCkpt     []float64 // progress of newest completed ckpt per level (0 = start)
+	lastEntry    []int     // chain state lastCkpt[i] was taken at; -1 when taken on the machine
 	furthestCkpt []float64 // furthest progress ever checkpointed per level
+
+	sched schedule // the failure-free checkpoint schedule for P and x
+	pos   int      // the chain state the run is in; -1 while on the machine
 
 	// Checkpoint marks, indexed by k over the checkpointing levels: those
 	// with x_i − 1e-9 > 1, in ascending order. Any other level's mark
@@ -195,7 +216,11 @@ type runner struct {
 	xEnd     []float64 // x_i − 1e-9: a mark index at or past it is the run's end
 	nextMark []int     // next interval index to checkpoint (1..x_i-1)
 	mark     []float64 // markAt(k), refreshed whenever nextMark[k] changes
-	marksAt  float64   // progress strike last derived the marks from; NaN before the first strike and after a checkpoint
+	// marksAt is the progress strike last derived the marks from, NaN
+	// before the first derivation and after the machine's marks move any
+	// other way. A run on the chain leaves the machine as it is, so the
+	// marks stay derived from marksAt while it walks the chain.
+	marksAt float64
 
 	// The due scan's state after visiting indices n-1 down to k (n =
 	// len(mark)): dueMark[k] is the earliest mark among them, a lower
@@ -231,13 +256,13 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	P, err := productiveTime(&cfg)
+	if err != nil {
+		return err
+	}
 	p := cfg.Params
 	L := p.L()
 	n := cfg.N
-	P := p.ProductiveTime(n)
-	if math.IsInf(P, 0) || P <= 0 {
-		return fmt.Errorf("%w: productive time %g at N=%g", ErrConfig, P, n)
-	}
 	maxWall := cfg.MaxWallClock
 	if maxWall <= 0 {
 		maxWall = 4000 * failure.SecondsPerDay * 20
@@ -250,38 +275,21 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 	// slices returned inside Result get their capacity clipped so an
 	// appending caller can never spill into a neighboring slab region.
 	floats := make([]float64, 8*L+1)
-	ints := make([]int, 5*L+1)
+	ints := make([]int, 6*L+1)
 	r.ckptCost = floats[0*L : 1*L]
 	r.recCost = floats[1*L : 2*L]
 	r.lastCkpt = floats[2*L : 3*L]
 	r.furthestCkpt = floats[3*L : 4*L]
 	r.res.Failures = ints[0*L : 1*L : 1*L]
 	r.res.CheckpointsTaken = ints[1*L : 2*L : 2*L]
-	r.level = ints[2*L : 2*L]
+	r.lastEntry = ints[2*L : 3*L]
 	for i := 0; i < L; i++ {
 		r.ckptCost[i] = p.Levels[i].Checkpoint.At(n)
 		r.recCost[i] = p.Levels[i].Recovery.At(n)
 		r.furthestCkpt[i] = -1
-		if cfg.X[i]-1e-9 > 1 {
-			r.level = append(r.level, i)
-		}
+		r.lastEntry[i] = -1
 	}
-	K := len(r.level)
-	r.tau = floats[4*L : 4*L+K]
-	r.xEnd = floats[5*L : 5*L+K]
-	r.mark = floats[6*L : 6*L+K]
-	r.dueMark = floats[7*L : 7*L+K+1]
-	r.nextMark = ints[3*L : 3*L+K]
-	r.dueIdx = ints[4*L : 4*L+K+1]
-	for k, i := range r.level {
-		r.tau[k] = P / cfg.X[i]
-		r.xEnd[k] = cfg.X[i] - 1e-9
-		r.nextMark[k] = 1
-		r.mark[k] = r.markAt(k)
-	}
-	r.dueMark[K], r.dueIdx[K] = math.Inf(1), -1
-	r.rescan(K - 1)
-	r.marksAt = math.NaN()
+	r.initMarks(P, cfg.X, floats[4*L:], ints[3*L:])
 
 	if cfg.Replay != nil {
 		r.replay = cfg.Replay
@@ -305,6 +313,45 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 		}
 	}
 	return nil
+}
+
+// productiveTime returns P = T_e/g(N) for a valid configuration, or an
+// error where it is not finite and positive.
+func productiveTime(cfg *Config) (float64, error) {
+	P := cfg.Params.ProductiveTime(cfg.N)
+	if math.IsInf(P, 0) || P <= 0 {
+		return 0, fmt.Errorf("%w: productive time %g at N=%g", ErrConfig, P, cfg.N)
+	}
+	return P, nil
+}
+
+// initMarks binds the mark machine for periods P/x_i over floats (4L+1
+// values) and ints (3L+1), L = len(x), and puts it in its initial state:
+// every interval index at 1.
+func (r *runner) initMarks(P float64, x []float64, floats []float64, ints []int) {
+	L := len(x)
+	r.level = ints[0:0:L]
+	for i, xi := range x {
+		if xi-1e-9 > 1 {
+			r.level = append(r.level, i)
+		}
+	}
+	K := len(r.level)
+	r.tau = floats[0*L : 0*L+K]
+	r.xEnd = floats[1*L : 1*L+K]
+	r.mark = floats[2*L : 2*L+K]
+	r.dueMark = floats[3*L : 3*L+K+1]
+	r.nextMark = ints[1*L : 1*L+K]
+	r.dueIdx = ints[2*L : 2*L+K+1]
+	for k, i := range r.level {
+		r.tau[k] = P / x[i]
+		r.xEnd[k] = x[i] - 1e-9
+		r.nextMark[k] = 1
+		r.mark[k] = r.markAt(k)
+	}
+	r.dueMark[K], r.dueIdx[K] = math.Inf(1), -1
+	r.rescan(K - 1)
+	r.marksAt = math.NaN()
 }
 
 // rescan refreshes the due scan's state from index hi down to 0 after
@@ -335,20 +382,19 @@ func (r *runner) markAt(k int) float64 {
 	return float64(r.nextMark[k]) * r.tau[k]
 }
 
-// failureAt peeks at the next failure at or after from and returns its
-// time, or +Inf with havePending false when the source is exhausted: no
-// "failure before the horizon" test can pass then, whatever the horizon,
-// and a test that acts on a later or absent failure checks havePending.
-// The event stays in r.pending, its time clamped forward to the caller's
-// horizon, until the caller consumes it by clearing havePending. The draw
-// stays lazy — the recovery loop draws its jitter before it peeks — and
-// sits behind refill, so the peek inlines.
+// failureAt peeks at the next failure at or after from (the run's wall
+// clock) and returns its time, or +Inf with havePending false when the
+// source is exhausted: no "failure before the horizon" test can pass then,
+// whatever the horizon, and a test that acts on a later or absent failure
+// checks havePending. The event stays in r.pending until the caller
+// consumes it by clearing havePending. A pending failure never lies before
+// from: the loop consumes every failure inside a window before it
+// advances the clock across it, so only a fresh draw needs clamping, and
+// refill does that. The draw stays lazy — the recovery loop draws its
+// jitter before it peeks — and sits behind refill, so the peek inlines.
 func (r *runner) failureAt(from float64) float64 {
 	if !r.havePending {
 		return r.refill(from)
-	}
-	if r.pending.Time < from {
-		r.pending.Time = from
 	}
 	return r.pending.Time
 }
@@ -427,11 +473,14 @@ func (r *runner) rollbackInstant(restoreLvl int) {
 // returns the level restored from — the cheapest level holding the
 // restore point — or -1 when execution restarts from scratch.
 //
-// The marks are a function of progress alone once strike has derived
-// them, so a strike that leaves progress where the previous one put it,
-// with no checkpoint in between — failures that keep striking before
-// the next checkpoint, the common case at high failure rates — keeps
-// them as they are.
+// A restart, or a restore to a checkpoint taken on the chain, lands on the
+// chain state the schedule's enter table names, without a division or a
+// rescan. Otherwise the run resumes on the machine with the marks derived
+// from the restore point. Those are a function of progress alone, so a
+// strike that leaves progress where the previous derivation put it, with
+// no machine checkpoint in between — failures that keep striking before
+// the next checkpoint, the common case at high failure rates — keeps them
+// as they are.
 func (r *runner) strike(c int) int {
 	q := 0.0
 	for i := c; i < r.L; i++ {
@@ -445,25 +494,48 @@ func (r *runner) strike(c int) int {
 	if q < r.progress {
 		r.progress = q
 	}
+	restore, to := -1, r.sched.enter[0]
+	if q > 0 {
+		to = -1
+		for i := c; i < r.L; i++ {
+			//lint:allow floateq q and lastCkpt[i] are the same stored value when they match (assigned from one expression), so exact identity is the correct test
+			if r.lastCkpt[i] == q {
+				restore = i
+				if j := r.lastEntry[i]; j >= 0 {
+					to = r.sched.enter[j+1]
+				}
+				break
+			}
+		}
+	}
+	r.pos = to
 	//lint:allow floateq marksAt is a copy of an earlier progress value, so identity means the derivation below would repeat bit for bit
-	if r.progress != r.marksAt {
+	if to < 0 && r.progress != r.marksAt {
 		for k := range r.mark {
-			r.nextMark[k] = int(r.progress/r.tau[k]+1e-9) + 1
+			r.nextMark[k] = r.intervalAt(k, r.progress)
 			r.mark[k] = r.markAt(k)
 		}
 		r.rescan(len(r.mark) - 1)
 		r.marksAt = r.progress
 	}
-	if q <= 0 {
-		return -1
-	}
-	for i := c; i < r.L; i++ {
-		//lint:allow floateq q and lastCkpt[i] are the same stored value when they match (assigned from one expression), so exact identity is the correct test
-		if r.lastCkpt[i] == q {
-			return i
+	return restore
+}
+
+// intervalAt is the interval index strike derives for checkpointing level
+// k from progress p: the first whose mark lies past p by the tolerance.
+func (r *runner) intervalAt(k int, p float64) int {
+	return int(p/r.tau[k]+1e-9) + 1
+}
+
+// derives reports whether strike's derivation from progress p gives the
+// machine's current interval indices.
+func (r *runner) derives(p float64) bool {
+	for k, idx := range r.nextMark {
+		if r.intervalAt(k, p) != idx {
+			return false
 		}
 	}
-	return -1
+	return true
 }
 
 // handleFailure processes a class-c failure at the current wall time:
@@ -548,20 +620,31 @@ func (r *runner) handleFailure(c int) {
 	}
 }
 
-// run plays the execution to completion (or truncation) and reports the
-// run's counters.
-func (r *runner) run() {
+// run plays the execution along sched to completion (or truncation) and
+// reports the run's counters.
+func (r *runner) run(sched schedule) {
+	r.sched, r.pos = sched, -1
+	if len(sched.mark) > 0 {
+		r.pos = 0
+	}
 	for r.progress < r.P {
 		if r.wall > r.maxWall {
 			r.res.Truncated = true
 			break
 		}
 		// Next due checkpoint mark: the earliest mark over levels; at equal
-		// marks the HIGHEST level wins and lower ones are skipped. The scan
-		// runs downward, so a lower level takes over only with a mark
-		// earlier by more than the tolerance (scanStep); its result is
-		// kept up to date wherever a mark changes.
-		dueProgress, due := r.dueMark[0], r.dueIdx[0]
+		// marks the HIGHEST level wins and lower ones are skipped. On the
+		// chain it is the state's; on the machine, the due scan runs
+		// downward, so a lower level takes over only with a mark earlier
+		// by more than the tolerance (scanStep), and its result is kept up
+		// to date wherever a mark changes.
+		var dueProgress float64
+		var due, dueLevel int
+		if r.pos >= 0 {
+			dueProgress, dueLevel = r.sched.mark[r.pos], r.sched.level[r.pos]
+		} else {
+			dueProgress, due = r.dueMark[0], r.dueIdx[0]
+		}
 		// min(dueProgress, P): neither is NaN and P > progress ≥ 0, so a
 		// plain compare is exactly math.Min.
 		segEnd := r.P
@@ -597,7 +680,9 @@ func (r *runner) run() {
 		}
 
 		// --- Checkpoint at dueProgress, level dueLevel ---
-		dueLevel := r.level[due]
+		if r.pos < 0 {
+			dueLevel = r.level[due]
+		}
 		dur := r.rng.Jitter(r.ckptCost[dueLevel], r.cfg.JitterRatio)
 		redo := r.progress <= r.furthestCkpt[dueLevel]+1e-9
 		if t := r.failureAt(r.wall); t < r.wall+dur {
@@ -629,22 +714,18 @@ func (r *runner) run() {
 		r.record(EvCheckpointDone, dueLevel)
 		r.res.CheckpointsTaken[dueLevel]++
 		r.lastCkpt[dueLevel] = r.progress
+		r.lastEntry[dueLevel] = r.pos
 		if r.progress > r.furthestCkpt[dueLevel] {
 			r.furthestCkpt[dueLevel] = r.progress
 		}
-		// Advance the mark of this level and skip any lower-level mark due
-		// at the same progress point: the higher-level file restores those
-		// failure classes too (the restore lookup scans all levels ≥ c),
-		// so a separate lower-level checkpoint there would be pure waste.
-		// The marks above due are unchanged, so the due scan restarts at
-		// due.
-		for k := due; k >= 0; k-- {
-			if r.mark[k] < r.progress+1e-9 { // never true of a +Inf mark
-				r.nextMark[k]++
-				r.mark[k] = r.markAt(k)
+		if r.pos >= 0 {
+			r.pos++
+			if r.pos == len(r.sched.mark) {
+				r.leaveChain()
 			}
-			r.scanStep(k)
+			continue
 		}
+		r.advance(due, r.progress)
 		r.marksAt = math.NaN()
 	}
 
@@ -664,6 +745,22 @@ func (r *runner) run() {
 		r.rec.Count("sim.truncated", 1)
 	}
 	r.rec.Observe("sim.wallclock_days", r.wall/failure.SecondsPerDay)
+}
+
+// advance moves the machine past a checkpoint of index due at progress p:
+// it advances that level's mark and skips any lower-level mark due at the
+// same point, since the higher-level file restores those failure classes
+// too (the restore lookup scans all levels ≥ c) and a separate
+// lower-level checkpoint there would be pure waste. The marks above due
+// are unchanged, so the due scan restarts at due.
+func (r *runner) advance(due int, p float64) {
+	for k := due; k >= 0; k-- {
+		if r.mark[k] < p+1e-9 { // never true of a +Inf mark
+			r.nextMark[k]++
+			r.mark[k] = r.markAt(k)
+		}
+		r.scanStep(k)
+	}
 }
 
 // checkpointSpan emits a completed or aborted checkpoint's span.

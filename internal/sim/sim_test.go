@@ -64,6 +64,37 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsDegenerateArrivals: a Weibull shape that is not
+// finite and positive, or a failure rate that is NaN at the run's scale,
+// would give a class NaN or +Inf arrivals, one that silently never fails.
+func TestValidateRejectsDegenerateArrivals(t *testing.T) {
+	for _, shape := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
+		cfg := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
+		cfg.Dist, cfg.WeibullShape = failure.Weibull, shape
+		if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
+			t.Errorf("Weibull shape %g: %v", shape, err)
+		}
+		if _, err := RunMany(cfg, 2, 1); !errors.Is(err, ErrConfig) {
+			t.Errorf("RunMany, Weibull shape %g: %v", shape, err)
+		}
+	}
+	ok := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
+	ok.Dist, ok.WeibullShape = failure.Weibull, 0.7
+	if err := ok.Validate(); err != nil {
+		t.Errorf("Weibull shape 0.7: %v", err)
+	}
+	for _, rates := range []failure.Rates{
+		{PerDay: []float64{4, 3, math.NaN(), 1}, Baseline: 1e4},
+		{PerDay: []float64{4, 3, 0, 1}, Baseline: 0}, // 0/0 for the zero-rate level
+	} {
+		cfg := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
+		cfg.Params.Rates = rates
+		if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
+			t.Errorf("rates %v: %v", rates, err)
+		}
+	}
+}
+
 func TestFailureFreeRun(t *testing.T) {
 	// Zero failure rates: wall clock = productive + checkpoints exactly,
 	// no restart, no rollback.
