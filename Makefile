@@ -56,17 +56,25 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Bounded fuzz sessions for the Spec-validation, cache-key,
-# linter-robustness, model-evaluator-vs-oracle, simulator-runner-vs-oracle,
-# failure-trace-decoder and JSON-spec-loader invariants.
+# Bounded fuzz sessions, one per fuzz target in the module: the
+# Spec-validation, cache-key, linter-robustness, model-evaluator-vs-oracle,
+# simulator-runner-vs-oracle, failure-rate-parser, failure-trace-decoder,
+# JSON-spec-loader, erasure-reconstruction, SIMD-encode-kernel-vs-scalar
+# and mpisim-scheduler-equivalence invariants. -fuzz takes a pattern that
+# must match exactly one target per package, so it is anchored where a
+# package holds two (failure, erasure).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeNeverPanics -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzKeyEquality -fuzztime 30s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzLintNeverPanics -fuzztime 30s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzEvaluatorMatchesScalar -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzRunMatchesReference -fuzztime 30s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 30s ./internal/failure
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRates$$' -fuzztime 30s ./internal/failure
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s ./internal/failure
 	$(GO) test -run '^$$' -fuzz FuzzLoadSpec -fuzztime 30s ./internal/cli
+	$(GO) test -run '^$$' -fuzz '^FuzzReconstruct$$' -fuzztime 30s ./internal/erasure
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeKernelMatchesScalar$$' -fuzztime 30s ./internal/erasure
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerEquivalence -fuzztime 30s ./internal/mpisim
 
 # Regenerate the golden reference after an intentional numbers change.
 # Review the diff before committing: every change here is a change to the

@@ -178,7 +178,7 @@ func TestOptimizeBatchObsMatchesSequential(t *testing.T) {
 // scale search, which evaluates through model.Evaluator, against the same
 // scan driven by the scalar oracle Params.GradN / Params.WallClock on
 // randomized iterates: same root, bit for bit, same errors. Beyond the
-// paper's cost shapes it draws SqrtN/LogN levels and saturation caps inside
+// paper's cost shapes it draws linear levels with saturation caps inside
 // [floor, N^(*)], and requires that some trials bisect two brackets.
 func TestSolveScaleMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -239,14 +239,14 @@ func scaledB(b []float64, n float64) []float64 {
 	return mu
 }
 
-// mixedShapeParams draws a four-level problem whose costs grow as √N and
-// log(1+N), with saturation caps inside [1, N^(*)].
+// mixedShapeParams draws a four-level problem whose costs grow linearly,
+// two of them up to saturation caps inside [1, N^(*)].
 func mixedShapeParams(rng *rand.Rand) *model.Params {
 	nstar := 1e5 + rng.Float64()*9e5
 	costs := []overhead.Cost{
 		overhead.Constant(0.5 + rng.Float64()),
-		{Const: 1 + rng.Float64(), Coeff: 0.01 + rng.Float64()*0.05, H: overhead.SqrtN, Cap: nstar * rng.Float64()},
-		{Const: 2 + rng.Float64(), Coeff: 0.1 + rng.Float64(), H: overhead.LogN},
+		{Const: 1 + rng.Float64(), Coeff: (0.01 + rng.Float64()*0.05) * 1e-3, H: overhead.LinearN, Cap: nstar * rng.Float64()},
+		{Const: 2 + rng.Float64(), Coeff: (0.1 + rng.Float64()) * 1e-5, H: overhead.LinearN},
 		{Const: 5, Coeff: rng.Float64() * 0.03, H: overhead.LinearN, Cap: nstar * (0.05 + 0.5*rng.Float64())},
 	}
 	return &model.Params{

@@ -52,7 +52,9 @@ type RealConfig struct {
 	Inject *inject.Plan
 	// DisableScratch turns an exhausted recovery escalation into a loud
 	// error (wrapping fti.ErrExhausted, naming the last rung tried) instead
-	// of a silent from-scratch restart — the chaos-grid invariant.
+	// of a silent from-scratch restart — the chaos-grid invariant. It
+	// applies to every run, with or without Inject; a restart before the
+	// first committed checkpoint stays legitimate either way.
 	DisableScratch bool
 
 	// Obs receives chaos counters (injected faults, escalations, PFS
@@ -479,94 +481,75 @@ func RunReal(cfg RealConfig) (RealResult, error) {
 		}
 		span("alloc", wall, cfg.Alloc, nil)
 		wall += cfg.Alloc
-		if plan == nil {
-			lvl, _, ok := cluster.BestRecovery()
-			if ok {
-				rc, err := cluster.RecoveryCost(lvl, perNode)
-				if err != nil {
-					return res, err
+		// Escalating recovery: walk the hierarchy until a rung verifies,
+		// charging every failed rung's read as detection latency. With
+		// nothing corrupt the first rung, fti.BestRecovery's choice,
+		// verifies. Under injection, further failures land inside the
+		// recovery window itself.
+		for recAttempt := 0; ; recAttempt++ {
+			data, outcome, rerr := cluster.RestoreEscalating()
+			for _, at := range outcome.Attempts {
+				rc, cerr := cluster.RecoveryCost(at.Level, perNode)
+				if cerr != nil {
+					return res, cerr
 				}
-				span("recovery", wall, rc, map[string]float64{"level": float64(lvl), "ok": 1})
+				if at.Level == fti.Levels {
+					// Transient PFS read faults on the level-4 rung.
+					elapsed, attempts, ok := retry.Retry(rc, func(attempt int) bool {
+						return plan.PFSReadFails(episode*(maxRecoveryCrashes+1)+recAttempt, attempt)
+					})
+					if !ok {
+						finish()
+						return res, fmt.Errorf("%w: level-4 recovery read failed after %d attempts (transient PFS reads)",
+							ErrReal, attempts)
+					}
+					res.PFSRetries += attempts - 1
+					rc = elapsed
+				}
+				okArg := 0.0
+				if at.OK {
+					okArg = 1
+				}
+				span("recovery", wall, rc, map[string]float64{"level": float64(at.Level), "ok": okArg})
 				wall += rc
-				snaps, err = cluster.Restore(lvl)
-				if err != nil {
+				if !at.OK {
+					res.DetectionLatency += rc
+				}
+			}
+			if class, ok := plan.RecoveryCrash(episode, recAttempt); ok && recAttempt < maxRecoveryCrashes {
+				// A further failure strikes before the restored state
+				// is handed back: the read bytes are discarded, more
+				// storage dies, and recovery restarts after a new
+				// allocation period.
+				res.RecoveryCrashes++
+				res.Failures[class]++
+				instant("failure", wall, map[string]float64{"class": float64(class + 1)})
+				if err := cluster.Crash(victims(class, cfg, rng)); err != nil {
 					return res, err
 				}
-				res.Recoveries[lvl-1]++
-			} else {
-				snaps = nil
-				res.FromScratch++
+				span("alloc", wall, cfg.Alloc, nil)
+				wall += cfg.Alloc
+				continue
 			}
-		} else {
-			// Escalating recovery under injection: walk the hierarchy until
-			// a rung verifies, charging every failed rung's read as
-			// detection latency, with further failures landing inside the
-			// recovery window itself.
-			for recAttempt := 0; ; recAttempt++ {
-				data, outcome, rerr := cluster.RestoreEscalating()
-				for _, at := range outcome.Attempts {
-					rc, cerr := cluster.RecoveryCost(at.Level, perNode)
-					if cerr != nil {
-						return res, cerr
-					}
-					if at.Level == fti.Levels {
-						// Transient PFS read faults on the level-4 rung.
-						elapsed, attempts, ok := retry.Retry(rc, func(attempt int) bool {
-							return plan.PFSReadFails(episode*(maxRecoveryCrashes+1)+recAttempt, attempt)
-						})
-						if !ok {
-							finish()
-							return res, fmt.Errorf("%w: level-4 recovery read failed after %d attempts (transient PFS reads)",
-								ErrReal, attempts)
-						}
-						res.PFSRetries += attempts - 1
-						rc = elapsed
-					}
-					okArg := 0.0
-					if at.OK {
-						okArg = 1
-					}
-					span("recovery", wall, rc, map[string]float64{"level": float64(at.Level), "ok": okArg})
-					wall += rc
-					if !at.OK {
-						res.DetectionLatency += rc
-					}
+			if rerr != nil {
+				// A from-scratch restart is always legitimate before the
+				// first checkpoint ever committed — there is nothing the
+				// hierarchy could have protected yet, so exhaustion there
+				// says nothing about recovery integrity.
+				if errors.Is(rerr, fti.ErrExhausted) && (!cfg.DisableScratch || !cluster.Committed()) {
+					snaps = nil
+					res.FromScratch++
+					break
 				}
-				if class, ok := plan.RecoveryCrash(episode, recAttempt); ok && recAttempt < maxRecoveryCrashes {
-					// A further failure strikes before the restored state
-					// is handed back: the read bytes are discarded, more
-					// storage dies, and recovery restarts after a new
-					// allocation period.
-					res.RecoveryCrashes++
-					res.Failures[class]++
-					instant("failure", wall, map[string]float64{"class": float64(class + 1)})
-					if err := cluster.Crash(victims(class, cfg, rng)); err != nil {
-						return res, err
-					}
-					span("alloc", wall, cfg.Alloc, nil)
-					wall += cfg.Alloc
-					continue
-				}
-				if rerr != nil {
-					// A from-scratch restart is always legitimate before the
-					// first checkpoint ever committed — there is nothing the
-					// hierarchy could have protected yet, so exhaustion there
-					// says nothing about recovery integrity.
-					if errors.Is(rerr, fti.ErrExhausted) && (!cfg.DisableScratch || !cluster.Committed()) {
-						snaps = nil
-						res.FromScratch++
-						break
-					}
-					finish()
-					return res, rerr
-				}
-				snaps = data
-				res.Recoveries[outcome.Level-1]++
-				if outcome.Escalated() {
-					res.Escalations++
-				}
-				break
+				finish()
+				return res, rerr
 			}
+			snaps = data
+			res.Recoveries[outcome.Level-1]++
+			if outcome.Escalated() {
+				res.Escalations++
+			}
+			break
 		}
 		episode++
 		nextFail, haveFail = proc.Next(wall)

@@ -95,11 +95,16 @@ func (r Rates) ExpectedFailures(i int, n, durationSec float64) float64 {
 	return r.PerSecondAt(i, n) * durationSec
 }
 
-// Spec renders the scenario back in the paper's "r1-r2-…" notation.
+// Spec renders the scenario back in the paper's "r1-r2-…" notation, in a
+// form ParseRates reads back to the same rates.
 func (r Rates) Spec() string {
 	parts := make([]string, len(r.PerDay))
 	for i, v := range r.PerDay {
 		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
+		if strings.Contains(parts[i], "e-") {
+			// The exponent's sign would read as a level separator.
+			parts[i] = strconv.FormatFloat(v, 'f', -1, 64)
+		}
 	}
 	return strings.Join(parts, "-")
 }

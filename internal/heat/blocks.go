@@ -84,17 +84,6 @@ func (s *BlockSolver) at(row, col int) int {
 // Iteration returns the number of completed iterations.
 func (s *BlockSolver) Iteration() int { return s.iter }
 
-// Residual returns the last global residual.
-func (s *BlockSolver) Residual() float64 { return s.residual }
-
-// Temperature returns the value at a global coordinate owned by this rank.
-func (s *BlockSolver) Temperature(globalRow, globalCol int) (float64, error) {
-	if globalRow < s.rowLo || globalRow >= s.rowHi || globalCol < s.colLo || globalCol >= s.colHi {
-		return 0, fmt.Errorf("%w: (%d,%d) not owned by rank %d", ErrHeat, globalRow, globalCol, s.rank.ID())
-	}
-	return s.cur[s.at(globalRow-s.rowLo, globalCol-s.colLo)], nil
-}
-
 const (
 	tagN = 201 // to the north neighbor (my first row)
 	tagS = 202 // to the south neighbor (my last row)

@@ -1,6 +1,7 @@
 package heat
 
 import (
+	"fmt"
 	"testing"
 
 	"mlckpt/internal/mpisim"
@@ -118,4 +119,12 @@ func TestBlockResidualMatchesRowSolver(t *testing.T) {
 	if rowRes != blockRes {
 		t.Errorf("residuals differ: row %g vs block %g", rowRes, blockRes)
 	}
+}
+
+// Temperature returns the value at a global coordinate owned by this rank.
+func (s *BlockSolver) Temperature(globalRow, globalCol int) (float64, error) {
+	if globalRow < s.rowLo || globalRow >= s.rowHi || globalCol < s.colLo || globalCol >= s.colHi {
+		return 0, fmt.Errorf("%w: (%d,%d) not owned by rank %d", ErrHeat, globalRow, globalCol, s.rank.ID())
+	}
+	return s.cur[s.at(globalRow-s.rowLo, globalCol-s.colLo)], nil
 }

@@ -107,18 +107,6 @@ func (s *Solver) Iteration() int { return s.iter }
 // toolkit through it).
 func (s *Solver) Rank() *mpisim.Rank { return s.rank }
 
-// Residual returns the global max-change of the last completed iteration.
-func (s *Solver) Residual() float64 { return s.residual }
-
-// Temperature returns the current value at a global coordinate owned by
-// this rank.
-func (s *Solver) Temperature(globalRow, col int) (float64, error) {
-	if globalRow < s.rowLo || globalRow >= s.rowHi || col < 0 || col >= s.cfg.GridX {
-		return 0, fmt.Errorf("%w: (%d,%d) not owned by rank %d", ErrHeat, globalRow, col, s.rank.ID())
-	}
-	return s.cur[s.idx(globalRow-s.rowLo, col)], nil
-}
-
 const (
 	tagUp   = 101 // to the previous rank (my first row)
 	tagDown = 102 // to the next rank (my last row)

@@ -3,6 +3,7 @@ package heat
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -276,4 +277,16 @@ func TestSerialTimeFormula(t *testing.T) {
 	if got, want := cfg.SerialTime(), 10.0*20*3*2; got != want {
 		t.Errorf("SerialTime = %g, want %g", got, want)
 	}
+}
+
+// Residual returns the global max-change of the last completed iteration.
+func (s *Solver) Residual() float64 { return s.residual }
+
+// Temperature returns the current value at a global coordinate owned by
+// this rank.
+func (s *Solver) Temperature(globalRow, col int) (float64, error) {
+	if globalRow < s.rowLo || globalRow >= s.rowHi || col < 0 || col >= s.cfg.GridX {
+		return 0, fmt.Errorf("%w: (%d,%d) not owned by rank %d", ErrHeat, globalRow, col, s.rank.ID())
+	}
+	return s.cur[s.idx(globalRow-s.rowLo, col)], nil
 }

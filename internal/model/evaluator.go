@@ -25,11 +25,11 @@ import (
 // differ.)
 //
 // Exactness rules:
-//   - A term is hoisted only if none of its inputs can vary with N. A
-//     Zero-baseline cost has the same At(n) at every n. DerivativeAt of a
-//     Zero or LinearN baseline is Coeff·H′ below a cap and +0 above it, so
-//     it is invariant only without a cap or when Coeff·H′ is itself +0; a
-//     negative or non-finite Coeff stays per point.
+//   - A term is hoisted only if none of its inputs can vary with N. A cost
+//     of any baseline but LinearN has the same At(n) at every n.
+//     DerivativeAt of any baseline is Coeff·H′ below a cap and +0 above
+//     it, so it is invariant only without a cap or when Coeff·H′ is itself
+//     +0; a negative or non-finite Coeff stays per point.
 //   - Float addition is not associative: only a prefix of a left-to-right
 //     sum is hoisted, and the terms after its first N-variant one are
 //     added per point in the original order.
@@ -134,33 +134,25 @@ type pointCost struct {
 type pointKind uint8
 
 const (
-	pointFixed      pointKind = iota // N-invariant: v
-	pointLinear                      // LinearN At: Const + Coeff·min(n, Cap)
-	pointStep                        // capped Zero/LinearN DerivativeAt: v up to the cap, +0 above
-	pointAt                          // any other At, through the method
-	pointDerivative                  // any other DerivativeAt, through the method
+	pointFixed  pointKind = iota // N-invariant: v
+	pointLinear                  // LinearN At: Const + Coeff·min(n, Cap)
+	pointStep                    // capped DerivativeAt: v up to the cap, +0 above
 )
 
-// atCost classifies c.At. Only the Zero baseline's Const + Coeff·0 is the
-// same at every n.
+// atCost classifies c.At. Every baseline but LinearN has H = 0, so its
+// Const + Coeff·0 is the same at every n.
 func atCost(c overhead.Cost) pointCost {
-	switch c.H {
-	case overhead.Zero:
-		return pointCost{kind: pointFixed, v: c.At(0), c: c}
-	case overhead.LinearN:
+	if c.H == overhead.LinearN {
 		return pointCost{kind: pointLinear, c: c}
 	}
-	return pointCost{kind: pointAt, c: c}
+	return pointCost{kind: pointFixed, v: c.At(0), c: c}
 }
 
-// derivativeCost classifies c.DerivativeAt. The Zero and LinearN baselines
-// have a constant H′, so the value is Coeff·H′ at every n up to a cap (0 is
-// below any cap) and +0 above it: N-invariant without a cap, or when
-// Coeff·H′ is +0 itself.
+// derivativeCost classifies c.DerivativeAt. Every baseline has a constant
+// H′, so the value is Coeff·H′ at every n up to a cap (0 is below any cap)
+// and +0 above it: N-invariant without a cap, or when Coeff·H′ is +0
+// itself.
 func derivativeCost(c overhead.Cost) pointCost {
-	if c.H != overhead.Zero && c.H != overhead.LinearN {
-		return pointCost{kind: pointDerivative, c: c}
-	}
 	v := c.DerivativeAt(0)
 	if !(c.Cap > 0) || math.Float64bits(v) == 0 {
 		return pointCost{kind: pointFixed, v: v, c: c}
@@ -179,15 +171,11 @@ func (t *pointCost) at(n float64) float64 {
 			n = t.c.Cap
 		}
 		return t.c.Const + t.c.Coeff*n
-	case pointStep:
+	default: // pointStep
 		if n > t.c.Cap {
 			return 0
 		}
 		return t.v
-	case pointAt:
-		return t.c.At(n)
-	default:
-		return t.c.DerivativeAt(n)
 	}
 }
 

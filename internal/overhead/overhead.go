@@ -29,47 +29,26 @@ var ErrCharacterize = errors.New("overhead: characterization failed")
 // through the origin, per the paper's definition.
 type Baseline int
 
-// Baseline kinds.
+// Baseline kinds. Any other value evaluates as Zero.
 const (
 	Zero    Baseline = iota // H(N) = 0: scale-independent overhead
 	LinearN                 // H(N) = N: linear congestion (PFS metadata+bandwidth)
-	SqrtN                   // H(N) = √N: sublinear congestion
-	LogN                    // H(N) = ln(1+N): metadata-dominated growth
 )
 
 // Eval returns H(N).
 func (b Baseline) Eval(n float64) float64 {
-	switch b {
-	case Zero:
-		return 0
-	case LinearN:
+	if b == LinearN {
 		return n
-	case SqrtN:
-		return math.Sqrt(math.Max(n, 0))
-	case LogN:
-		return math.Log1p(math.Max(n, 0))
-	default:
-		return 0
 	}
+	return 0
 }
 
 // Derivative returns dH/dN.
 func (b Baseline) Derivative(n float64) float64 {
-	switch b {
-	case Zero:
-		return 0
-	case LinearN:
+	if b == LinearN {
 		return 1
-	case SqrtN:
-		if n <= 0 {
-			return 0
-		}
-		return 0.5 / math.Sqrt(n)
-	case LogN:
-		return 1 / (1 + math.Max(n, 0))
-	default:
-		return 0
 	}
+	return 0
 }
 
 func (b Baseline) String() string {
@@ -78,10 +57,6 @@ func (b Baseline) String() string {
 		return "0"
 	case LinearN:
 		return "N"
-	case SqrtN:
-		return "sqrt(N)"
-	case LogN:
-		return "log(1+N)"
 	default:
 		return fmt.Sprintf("baseline(%d)", int(b))
 	}
@@ -129,7 +104,7 @@ func (c Cost) DerivativeAt(n float64) float64 {
 }
 
 // IsConstant reports whether the cost does not vary with scale.
-func (c Cost) IsConstant() bool { return c.Coeff == 0 || c.H == Zero }
+func (c Cost) IsConstant() bool { return c.Coeff == 0 || c.H != LinearN }
 
 func (c Cost) String() string {
 	if c.IsConstant() {
@@ -256,21 +231,6 @@ func mean(xs []float64) float64 {
 		s += v
 	}
 	return s / float64(len(xs))
-}
-
-// FusionTableII is the paper's Table II: FTI checkpoint overheads (seconds)
-// on the Argonne Fusion cluster at levels 1–4 for 128–1024 cores.
-func FusionTableII() Characterization {
-	return Characterization{
-		Scales: []float64{128, 256, 384, 512, 1024},
-		Costs: [][]float64{
-			{0.9, 2.53, 3.7, 7},
-			{0.67, 2.54, 4.1, 8.1},
-			{0.67, 2.25, 3.9, 14.3},
-			{0.99, 3.05, 4.12, 21.3},
-			{1.1, 2.56, 3.61, 25.15},
-		},
-	}
 }
 
 // FusionFittedCosts returns the paper's published least-squares coefficients

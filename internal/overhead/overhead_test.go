@@ -18,8 +18,7 @@ func TestBaselineEval(t *testing.T) {
 	}{
 		{Zero, 1000, 0},
 		{LinearN, 1000, 1000},
-		{SqrtN, 100, 10},
-		{LogN, math.E - 1, 1},
+		{Baseline(2), 1000, 0}, // any other value evaluates as Zero
 	}
 	for _, tc := range cases {
 		if got := tc.b.Eval(tc.n); math.Abs(got-tc.want) > 1e-12 {
@@ -27,7 +26,7 @@ func TestBaselineEval(t *testing.T) {
 		}
 	}
 	// All baselines pass through the origin, as Formula (19)/(20) require.
-	for _, b := range []Baseline{Zero, LinearN, SqrtN, LogN} {
+	for _, b := range []Baseline{Zero, LinearN} {
 		if v := b.Eval(0); v != 0 {
 			t.Errorf("%s.Eval(0) = %g, want 0", b, v)
 		}
@@ -35,7 +34,7 @@ func TestBaselineEval(t *testing.T) {
 }
 
 func TestBaselineDerivativeMatchesNumeric(t *testing.T) {
-	for _, b := range []Baseline{LinearN, SqrtN, LogN} {
+	for _, b := range []Baseline{Zero, LinearN, Baseline(2)} {
 		for _, n := range []float64{1, 100, 10000} {
 			analytic := b.Derivative(n)
 			numeric := numopt.Derivative(b.Eval, n)
@@ -220,5 +219,20 @@ func TestFitNonNegativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FusionTableII is the paper's Table II: FTI checkpoint overheads (seconds)
+// on the Argonne Fusion cluster at levels 1–4 for 128–1024 cores.
+func FusionTableII() Characterization {
+	return Characterization{
+		Scales: []float64{128, 256, 384, 512, 1024},
+		Costs: [][]float64{
+			{0.9, 2.53, 3.7, 7},
+			{0.67, 2.54, 4.1, 8.1},
+			{0.67, 2.25, 3.9, 14.3},
+			{0.99, 3.05, 4.12, 21.3},
+			{1.1, 2.56, 3.61, 25.15},
+		},
 	}
 }

@@ -27,7 +27,7 @@ func logUniform(g *stats.RNG, lo, hi float64) float64 {
 func randomRefCost(g *stats.RNG, n, budget float64) overhead.Cost {
 	t := g.Uniform(0, budget)
 	a := g.Float64()
-	c := overhead.Cost{Const: a * t, H: overhead.Baseline(g.Intn(4))}
+	c := overhead.Cost{Const: a * t, H: overhead.Baseline(g.Intn(2))}
 	if h := c.H.Eval(n); h > 0 {
 		c.Coeff = (1 - a) * t / h
 	}

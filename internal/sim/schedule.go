@@ -12,11 +12,11 @@ const scheduleCap = 1 << 15
 
 // schedule is the mark machine's failure-free trajectory for one P and x:
 // the checkpoint marks and due levels the machine visits from its initial
-// state, stepped by the machine's own code (initMarks, advance) with
+// state, stepped by the machine's own code (initMarks, due, advance) with
 // progress at each due mark. It is a pure function of P and x, so RunMany
 // builds it once and every run of the batch walks it read-only: a run on
-// the chain steps to the next state where the machine would advance its
-// marks and rescan.
+// the chain steps to the next state where the machine would scan and
+// advance its marks.
 //
 // State s (0 ≤ s < len(mark)) has due mark mark[s] and due level
 // level[s], and a checkpoint there moves the run to state s+1. The marks
@@ -42,7 +42,8 @@ type schedule struct {
 // newSchedule builds the schedule of periods P/x_i in two allocations,
 // sized up front: a failure-free run takes at most Σ(⌈x_i − 1e-9⌉ − 1)
 // checkpoints, since each one moves a finite mark of its level forward,
-// and visits one state more.
+// and visits one state more. The machine steps in L + L scratch slots,
+// which end keeps.
 func newSchedule(P float64, x []float64) schedule {
 	bound := 1.0
 	for _, xi := range x {
@@ -55,10 +56,10 @@ func newSchedule(P float64, x []float64) schedule {
 		n = int(bound)
 	}
 	L := len(x)
-	floats := make([]float64, n+4*L+1)
-	ints := make([]int, 2*n+1+3*L+1)
-	var m runner
-	m.initMarks(P, x, floats[n:], ints[2*n+1:])
+	floats := make([]float64, n+L)
+	ints := make([]int, 2*n+1+L)
+	m := runner{cfg: Config{X: x}, L: L}
+	m.initMarks(P, floats[n:], ints[2*n+1:])
 	s := schedule{
 		mark:  floats[:0:n],
 		level: ints[:n:n],
@@ -69,7 +70,7 @@ func newSchedule(P float64, x []float64) schedule {
 	for {
 		j := len(s.mark)
 		s.enter[j] = -1
-		due, d := m.dueMark[0], m.dueIdx[0]
+		due, d := m.due()
 		if j == n || !(due > prev) {
 			break // state j is off the chain
 		}
@@ -81,7 +82,7 @@ func newSchedule(P float64, x []float64) schedule {
 			s.enter[j+1] = -1
 			break
 		}
-		s.level[j] = m.level[d]
+		s.level[j] = d
 		m.advance(d, due)
 		prev = due
 	}
@@ -94,10 +95,5 @@ func newSchedule(P float64, x []float64) schedule {
 // incomplete chain onto the machine, in the chain's end state.
 func (r *runner) leaveChain() {
 	copy(r.nextMark, r.sched.end)
-	for k := range r.mark {
-		r.mark[k] = r.markAt(k)
-	}
-	r.rescan(len(r.mark) - 1)
-	r.marksAt = math.NaN()
 	r.pos = -1
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mlckpt/internal/core"
 	"mlckpt/internal/failure"
 	"mlckpt/internal/model"
 	"mlckpt/internal/overhead"
@@ -19,6 +20,7 @@ type chainPaths struct {
 	leaves    int // restores to a chain checkpoint whose derived marks leave the chain
 	restarts  int // restarts from scratch onto the chain
 	reentries int // of which the run was on the machine before the failure
+	offChain  int // checkpoints taken on the machine
 }
 
 // walk replays a run's recorded events against the schedule, following
@@ -36,6 +38,7 @@ func (c *chainPaths) walk(t *testing.T, s schedule, L int, events []TraceEvent) 
 		switch ev.Kind {
 		case EvCheckpointDone:
 			if pos < 0 {
+				c.offChain++
 				last[ev.Level] = -1
 				continue
 			}
@@ -165,6 +168,60 @@ func TestScheduleTransitionsMatchReference(t *testing.T) {
 				t.Errorf("paths %+v: no run walked past the cap", paths)
 			}
 		})
+	}
+}
+
+// TestEvaluationPlansStayOnChain pins the traffic the runner is built
+// for: the plans of the paper's evaluation grid at T_e = 0.3M core-days,
+// the middle of perfbench's grid band, take every checkpoint, restore and
+// restart on the shared chain, with none left for the mark machine. It
+// solves cases 16-12-8-4 and 4-2-1-0.5 under all four policies with the
+// Section IV parameters (quadratic speedup, κ = 0.46, N^(*) = N_b = 10⁶,
+// exascale Table II costs, R = C/2, A = 60 s) and walks 20 jittered runs
+// of each plan along its schedule. A change that moves such runs onto the
+// machine, which is the exact fallback and not the fast path, fails here.
+func TestEvaluationPlansStayOnChain(t *testing.T) {
+	const runs = 20
+	for _, spec := range []string{"16-12-8-4", "4-2-1-0.5"} {
+		p := &model.Params{
+			Te:      0.3e6 * failure.SecondsPerDay,
+			Speedup: speedup.Quadratic{Kappa: 0.46, NStar: 1e6},
+			Levels:  overhead.SymmetricLevels(overhead.ExascaleCosts(), 0.5),
+			Alloc:   60,
+			Rates:   failure.MustParseRates(spec, 1e6),
+		}
+		for _, pol := range core.Policies {
+			t.Run(spec+"/"+pol.String(), func(t *testing.T) {
+				sol, err := pol.Solve(p, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{
+					Params: p, N: sol.N, X: pol.ExpandX(p, sol), JitterRatio: 0.3,
+					MaxWallClock: 3000 * failure.SecondsPerDay, RecordEvents: true,
+				}
+				P, err := productiveTime(&cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := newSchedule(P, cfg.X)
+				results, err := RunMany(cfg, runs, 20140701)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var paths chainPaths
+				for _, res := range results {
+					paths.walk(t, s, p.L(), res.Events)
+				}
+				t.Logf("x = %v, %d states: %+v", cfg.X, len(s.mark), paths)
+				if paths.steps == 0 || paths.offChain != 0 || paths.leaves != 0 || paths.offEnd != 0 || paths.reentries != 0 {
+					t.Errorf("paths %+v: want chain steps and nothing on the machine", paths)
+				}
+				if !pol.Multilevel() && paths.restores+paths.restarts == 0 {
+					t.Errorf("paths %+v: no restore or restart onto the chain", paths)
+				}
+			})
+		}
 	}
 }
 

@@ -120,15 +120,17 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: jitter ratio %g", ErrConfig, c.JitterRatio)
 	}
 	// A NaN rate or a NaN Weibull shape makes a class's arrivals NaN,
-	// and a shape ≤ 0 makes them +Inf: a class that silently never
-	// fails. failure.Process.Next also needs every arrival to be a
-	// number, since it orders them by their bits.
+	// and a shape ≤ 0 or a negative rate makes them +Inf: a class that
+	// silently never fails. An infinite rate makes them 0, and the clock
+	// never moves again. failure.Process.Next also needs every arrival
+	// to be a number, since it orders them by their bits. A zero rate is
+	// a class that never fails by design.
 	if c.Dist == failure.Weibull && !(c.WeibullShape > 0 && c.WeibullShape <= math.MaxFloat64) {
 		return fmt.Errorf("%w: Weibull shape %g", ErrConfig, c.WeibullShape)
 	}
 	for i := range c.Params.Rates.PerDay {
-		if rate := c.Params.Rates.PerSecondAt(i, c.N); math.IsNaN(rate) {
-			return fmt.Errorf("%w: failure rate of level %d at N=%g is NaN", ErrConfig, i+1, c.N)
+		if rate := c.Params.Rates.PerSecondAt(i, c.N); !(rate >= 0 && rate <= math.MaxFloat64) {
+			return fmt.Errorf("%w: failure rate of level %d at N=%g is %g", ErrConfig, i+1, c.N, rate)
 		}
 	}
 	return nil
@@ -178,18 +180,17 @@ func Run(cfg Config, rng *stats.RNG) (Result, error) {
 
 // runner is one execution bound to its configuration. bind resolves every
 // quantity that is fixed for the run — the productive time P, each level's
-// overheads C_i(N) and R_i(N), which levels checkpoint at all and their
-// periods τ_i = P/x_i, the truncation horizon and the trace budget — and
-// run plays the event loop over them along a schedule, the failure-free
-// sequence of checkpoint marks shared by every run of a batch. While the
-// run is on the schedule's chain, a checkpoint steps to the next state and
-// a strike whose restore point the chain covers jumps to its state; any
-// other strike, and a walk off the chain's end, resumes on the mark
-// machine, which caches each checkpointing level's next mark and the due
-// scan over them, refreshed only where an interval index changes. The RNG
-// draw sequence, the order of every float operation and every obs call
-// match the closure-based form kept as runRef in run_ref_test.go, so
-// results are bit-identical.
+// overheads C_i(N) and R_i(N) and checkpoint period τ_i = P/x_i, the
+// truncation horizon and the trace budget — and run plays the event loop
+// over them along a schedule, the failure-free sequence of checkpoint
+// marks shared by every run of a batch. While the run is on the schedule's
+// chain, a checkpoint steps to the next state and a strike whose restore
+// point the chain covers jumps to its state; any other strike, and a walk
+// off the chain's end, resumes on the mark machine: runRef's per-level
+// interval indices, its due scan and its mark advance. The RNG draw
+// sequence, the order of every float operation and every obs call match
+// the closure-based form kept as runRef in run_ref_test.go, so results
+// are bit-identical.
 type runner struct {
 	cfg     Config // by value: holding a pointer moves the caller's Config to the heap
 	rng     *stats.RNG
@@ -206,30 +207,11 @@ type runner struct {
 	sched schedule // the failure-free checkpoint schedule for P and x
 	pos   int      // the chain state the run is in; -1 while on the machine
 
-	// Checkpoint marks, indexed by k over the checkpointing levels: those
-	// with x_i − 1e-9 > 1, in ascending order. Any other level's mark
-	// would be +Inf for the whole run (its interval index never drops
-	// below 1), so the due scan, the mark refresh and strike skip it.
-	// Every single-level policy has x = (1, …, 1, x_L).
-	level    []int     // the level i of index k
+	// The mark machine: level i's next checkpoint mark is nextMark[i]·τ_i
+	// (markAt). It holds the run's state only while the run is off the
+	// chain; leaving the chain loads all of it.
 	tau      []float64 // checkpoint period P/x_i in progress seconds
-	xEnd     []float64 // x_i − 1e-9: a mark index at or past it is the run's end
 	nextMark []int     // next interval index to checkpoint (1..x_i-1)
-	mark     []float64 // markAt(k), refreshed whenever nextMark[k] changes
-	// marksAt is the progress strike last derived the marks from, NaN
-	// before the first derivation and after the machine's marks move any
-	// other way. A run on the chain leaves the machine as it is, so the
-	// marks stay derived from marksAt while it walks the chain.
-	marksAt float64
-
-	// The due scan's state after visiting indices n-1 down to k (n =
-	// len(mark)): dueMark[k] is the earliest mark among them, a lower
-	// index taking over only with a mark earlier by more than the
-	// tolerance, and dueIdx[k] its index; +Inf and -1 at k = n. Entry k
-	// depends on marks k.. only, so a checkpoint at index d refreshes
-	// entries d down to 0, and the next due checkpoint is entry 0.
-	dueMark []float64
-	dueIdx  []int
 
 	// Failure source: a stochastic process by default, or (proc == nil)
 	// the unread rest of a fixed replay trace. The next failure stays
@@ -274,8 +256,8 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 	// of times, so the fixed per-call allocation count matters. The two
 	// slices returned inside Result get their capacity clipped so an
 	// appending caller can never spill into a neighboring slab region.
-	floats := make([]float64, 8*L+1)
-	ints := make([]int, 6*L+1)
+	floats := make([]float64, 5*L)
+	ints := make([]int, 4*L)
 	r.ckptCost = floats[0*L : 1*L]
 	r.recCost = floats[1*L : 2*L]
 	r.lastCkpt = floats[2*L : 3*L]
@@ -289,7 +271,7 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 		r.furthestCkpt[i] = -1
 		r.lastEntry[i] = -1
 	}
-	r.initMarks(P, cfg.X, floats[4*L:], ints[3*L:])
+	r.initMarks(P, floats[4*L:], ints[3*L:])
 
 	if cfg.Replay != nil {
 		r.replay = cfg.Replay
@@ -325,61 +307,40 @@ func productiveTime(cfg *Config) (float64, error) {
 	return P, nil
 }
 
-// initMarks binds the mark machine for periods P/x_i over floats (4L+1
-// values) and ints (3L+1), L = len(x), and puts it in its initial state:
-// every interval index at 1.
-func (r *runner) initMarks(P float64, x []float64, floats []float64, ints []int) {
-	L := len(x)
-	r.level = ints[0:0:L]
-	for i, xi := range x {
-		if xi-1e-9 > 1 {
-			r.level = append(r.level, i)
-		}
-	}
-	K := len(r.level)
-	r.tau = floats[0*L : 0*L+K]
-	r.xEnd = floats[1*L : 1*L+K]
-	r.mark = floats[2*L : 2*L+K]
-	r.dueMark = floats[3*L : 3*L+K+1]
-	r.nextMark = ints[1*L : 1*L+K]
-	r.dueIdx = ints[2*L : 2*L+K+1]
-	for k, i := range r.level {
-		r.tau[k] = P / x[i]
-		r.xEnd[k] = x[i] - 1e-9
-		r.nextMark[k] = 1
-		r.mark[k] = r.markAt(k)
-	}
-	r.dueMark[K], r.dueIdx[K] = math.Inf(1), -1
-	r.rescan(K - 1)
-	r.marksAt = math.NaN()
-}
-
-// rescan refreshes the due scan's state from index hi down to 0 after
-// marks at or below hi changed.
-func (r *runner) rescan(hi int) {
-	for k := hi; k >= 0; k-- {
-		r.scanStep(k)
+// initMarks binds the mark machine for periods P/x_i to tau and nextMark
+// (r.L values each) and puts it in its initial state: every interval index
+// at 1.
+func (r *runner) initMarks(P float64, tau []float64, nextMark []int) {
+	r.tau, r.nextMark = tau, nextMark
+	for i, xi := range r.cfg.X {
+		r.tau[i] = P / xi
+		r.nextMark[i] = 1
 	}
 }
 
-// scanStep is one step of the due scan: index k takes over from the
-// indices above it only with a mark earlier by more than the tolerance.
-func (r *runner) scanStep(k int) {
-	if m := r.mark[k]; m < r.dueMark[k+1]-1e-9 {
-		r.dueMark[k], r.dueIdx[k] = m, k
-	} else {
-		r.dueMark[k], r.dueIdx[k] = r.dueMark[k+1], r.dueIdx[k+1]
-	}
-}
-
-// markAt returns the next checkpoint mark of checkpointing level k in
-// progress seconds, or +Inf when its interval index has reached x_i:
-// there is no checkpoint at the very end of the run.
-func (r *runner) markAt(k int) float64 {
-	if float64(r.nextMark[k]) >= r.xEnd[k] {
+// markAt returns level i's next checkpoint mark in progress seconds, or
+// +Inf when its interval index has reached x_i: there is no checkpoint at
+// the very end of the run.
+func (r *runner) markAt(i int) float64 {
+	if float64(r.nextMark[i]) >= r.cfg.X[i]-1e-9 {
 		return math.Inf(1)
 	}
-	return float64(r.nextMark[k]) * r.tau[k]
+	return float64(r.nextMark[i]) * r.tau[i]
+}
+
+// due returns the machine's next due checkpoint mark and its level: the
+// earliest mark over levels, where at equal marks the HIGHEST level wins
+// and lower ones are skipped. The scan runs downward, so a lower level
+// takes over only with a mark earlier by more than the tolerance. It
+// returns +Inf and -1 when no level has a mark left.
+func (r *runner) due() (float64, int) {
+	mark, level := math.Inf(1), -1
+	for i := r.L - 1; i >= 0; i-- {
+		if m := r.markAt(i); m < mark-1e-9 {
+			mark, level = m, i
+		}
+	}
+	return mark, level
 }
 
 // failureAt peeks at the next failure at or after from (the run's wall
@@ -474,13 +435,9 @@ func (r *runner) rollbackInstant(restoreLvl int) {
 // restore point — or -1 when execution restarts from scratch.
 //
 // A restart, or a restore to a checkpoint taken on the chain, lands on the
-// chain state the schedule's enter table names, without a division or a
-// rescan. Otherwise the run resumes on the machine with the marks derived
-// from the restore point. Those are a function of progress alone, so a
-// strike that leaves progress where the previous derivation put it, with
-// no machine checkpoint in between — failures that keep striking before
-// the next checkpoint, the common case at high failure rates — keeps them
-// as they are.
+// chain state the schedule's enter table names, without a division.
+// Otherwise the run resumes on the machine with every interval index
+// derived from the restore point.
 func (r *runner) strike(c int) int {
 	q := 0.0
 	for i := c; i < r.L; i++ {
@@ -509,29 +466,26 @@ func (r *runner) strike(c int) int {
 		}
 	}
 	r.pos = to
-	//lint:allow floateq marksAt is a copy of an earlier progress value, so identity means the derivation below would repeat bit for bit
-	if to < 0 && r.progress != r.marksAt {
-		for k := range r.mark {
-			r.nextMark[k] = r.intervalAt(k, r.progress)
-			r.mark[k] = r.markAt(k)
+	if to < 0 {
+		for i := range r.nextMark {
+			r.nextMark[i] = r.intervalAt(i, r.progress)
 		}
-		r.rescan(len(r.mark) - 1)
-		r.marksAt = r.progress
 	}
 	return restore
 }
 
-// intervalAt is the interval index strike derives for checkpointing level
-// k from progress p: the first whose mark lies past p by the tolerance.
-func (r *runner) intervalAt(k int, p float64) int {
-	return int(p/r.tau[k]+1e-9) + 1
+// intervalAt is the interval index strike derives for level i from
+// progress p: the first whose mark lies past p by the tolerance.
+func (r *runner) intervalAt(i int, p float64) int {
+	return int(p/r.tau[i]+1e-9) + 1
 }
 
 // derives reports whether strike's derivation from progress p gives the
-// machine's current interval indices.
+// machine's current interval indices on every level that checkpoints at
+// all (x_i − 1e-9 > 1). Any other level's mark is +Inf whatever its index.
 func (r *runner) derives(p float64) bool {
-	for k, idx := range r.nextMark {
-		if r.intervalAt(k, p) != idx {
+	for i, idx := range r.nextMark {
+		if r.cfg.X[i]-1e-9 > 1 && r.intervalAt(i, p) != idx {
 			return false
 		}
 	}
@@ -632,18 +586,14 @@ func (r *runner) run(sched schedule) {
 			r.res.Truncated = true
 			break
 		}
-		// Next due checkpoint mark: the earliest mark over levels; at equal
-		// marks the HIGHEST level wins and lower ones are skipped. On the
-		// chain it is the state's; on the machine, the due scan runs
-		// downward, so a lower level takes over only with a mark earlier
-		// by more than the tolerance (scanStep), and its result is kept up
-		// to date wherever a mark changes.
+		// Next due checkpoint mark: the chain state's, or the machine's
+		// due scan off the chain.
 		var dueProgress float64
-		var due, dueLevel int
+		var dueLevel int
 		if r.pos >= 0 {
 			dueProgress, dueLevel = r.sched.mark[r.pos], r.sched.level[r.pos]
 		} else {
-			dueProgress, due = r.dueMark[0], r.dueIdx[0]
+			dueProgress, dueLevel = r.due()
 		}
 		// min(dueProgress, P): neither is NaN and P > progress ≥ 0, so a
 		// plain compare is exactly math.Min.
@@ -680,9 +630,6 @@ func (r *runner) run(sched schedule) {
 		}
 
 		// --- Checkpoint at dueProgress, level dueLevel ---
-		if r.pos < 0 {
-			dueLevel = r.level[due]
-		}
 		dur := r.rng.Jitter(r.ckptCost[dueLevel], r.cfg.JitterRatio)
 		redo := r.progress <= r.furthestCkpt[dueLevel]+1e-9
 		if t := r.failureAt(r.wall); t < r.wall+dur {
@@ -725,8 +672,7 @@ func (r *runner) run(sched schedule) {
 			}
 			continue
 		}
-		r.advance(due, r.progress)
-		r.marksAt = math.NaN()
+		r.advance(dueLevel, r.progress)
 	}
 
 	r.res.WallClock = r.wall
@@ -747,19 +693,18 @@ func (r *runner) run(sched schedule) {
 	r.rec.Observe("sim.wallclock_days", r.wall/failure.SecondsPerDay)
 }
 
-// advance moves the machine past a checkpoint of index due at progress p:
+// advance moves the machine past a checkpoint of level due at progress p:
 // it advances that level's mark and skips any lower-level mark due at the
 // same point, since the higher-level file restores those failure classes
 // too (the restore lookup scans all levels ≥ c) and a separate
-// lower-level checkpoint there would be pure waste. The marks above due
-// are unchanged, so the due scan restarts at due.
+// lower-level checkpoint there would be pure waste. A higher level keeps
+// its mark even where it lies within the tolerance of p: the due scan did
+// not let it take over, so it is not due here.
 func (r *runner) advance(due int, p float64) {
-	for k := due; k >= 0; k-- {
-		if r.mark[k] < p+1e-9 { // never true of a +Inf mark
-			r.nextMark[k]++
-			r.mark[k] = r.markAt(k)
+	for i := 0; i <= due; i++ {
+		if r.markAt(i) < p+1e-9 { // never true of a +Inf mark
+			r.nextMark[i]++
 		}
-		r.scanStep(k)
 	}
 }
 

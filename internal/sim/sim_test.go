@@ -65,8 +65,10 @@ func TestValidate(t *testing.T) {
 }
 
 // TestValidateRejectsDegenerateArrivals: a Weibull shape that is not
-// finite and positive, or a failure rate that is NaN at the run's scale,
-// would give a class NaN or +Inf arrivals, one that silently never fails.
+// finite and positive, or a failure rate that is NaN or negative at the
+// run's scale, would give a class NaN or +Inf arrivals, one that silently
+// never fails; an infinite rate would give arrivals of 0, and a run that
+// never ends.
 func TestValidateRejectsDegenerateArrivals(t *testing.T) {
 	for _, shape := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
 		cfg := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
@@ -86,11 +88,19 @@ func TestValidateRejectsDegenerateArrivals(t *testing.T) {
 	for _, rates := range []failure.Rates{
 		{PerDay: []float64{4, 3, math.NaN(), 1}, Baseline: 1e4},
 		{PerDay: []float64{4, 3, 0, 1}, Baseline: 0}, // 0/0 for the zero-rate level
+		{PerDay: []float64{4, 3, 2, 1}, Baseline: 0}, // +Inf on every level
+		{PerDay: []float64{math.Inf(1), 3, 2, 1}, Baseline: 1e4},
+		{PerDay: []float64{4, 3, 2, math.MaxFloat64}, Baseline: 1e-300}, // overflows to +Inf
+		{PerDay: []float64{4, -3, 2, 1}, Baseline: 1e4},
+		{PerDay: []float64{4, 3, 2, 1}, Baseline: -1e4},
 	} {
 		cfg := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
 		cfg.Params.Rates = rates
 		if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
 			t.Errorf("rates %v: %v", rates, err)
+		}
+		if _, err := RunMany(cfg, 2, 1); !errors.Is(err, ErrConfig) {
+			t.Errorf("RunMany, rates %v: %v", rates, err)
 		}
 	}
 }
@@ -139,6 +149,30 @@ func TestCoincidentMarksSkipLowerLevels(t *testing.T) {
 		if r.CheckpointsTaken[i] != w {
 			t.Errorf("level %d checkpoints = %d, want %d (got %v)", i+1, r.CheckpointsTaken[i], w, r.CheckpointsTaken)
 		}
+	}
+}
+
+// TestAdvanceSkipsOnlyUpToTheDueLevel pins the machine's advance to
+// runRef's bound, the levels up to the due one. Marks at P/2 on level 3,
+// 0.9e-9 s earlier on level 2 and 1.5e-9 s earlier on level 1: the
+// downward scan lets level 1 take over from level 3 but not level 2, so
+// level 1 is due, and its checkpoint leaves level 2's mark in place
+// although that mark lies within the tolerance of the checkpoint.
+func TestAdvanceSkipsOnlyUpToTheDueLevel(t *testing.T) {
+	const P = 1e4
+	x := []float64{P / (P/2 - 1.5e-9), P / (P/2 - 0.9e-9), 2}
+	m := runner{cfg: Config{X: x}, L: len(x)}
+	m.initMarks(P, make([]float64, len(x)), make([]int, len(x)))
+	mark, level := m.due()
+	if level != 0 {
+		t.Fatalf("level %d due at %v, want level 1", level+1, mark)
+	}
+	if m2 := m.markAt(1); !(m2 < mark+1e-9) {
+		t.Fatalf("level 2's mark %v is not within the tolerance of %v", m2, mark)
+	}
+	m.advance(level, mark)
+	if m.nextMark[1] != 1 || m.nextMark[2] != 1 {
+		t.Errorf("interval indices %v after the level-1 checkpoint, want levels 2 and 3 still at 1", m.nextMark)
 	}
 }
 
