@@ -59,10 +59,11 @@ short:
 # Bounded fuzz sessions, one per fuzz target in the module: the
 # Spec-validation, cache-key, linter-robustness, model-evaluator-vs-oracle,
 # simulator-runner-vs-oracle, failure-rate-parser, failure-trace-decoder,
-# JSON-spec-loader, erasure-reconstruction, SIMD-encode-kernel-vs-scalar
-# and mpisim-scheduler-equivalence invariants. -fuzz takes a pattern that
-# must match exactly one target per package, so it is anchored where a
-# package holds two (failure, erasure).
+# JSON-spec-loader, erasure-reconstruction, SIMD-encode-kernel-vs-scalar,
+# mpisim-scheduler-equivalence, obs-trace-decoder and obs-metrics-validator
+# invariants. -fuzz takes a pattern that must match exactly one target per
+# package, so it is anchored where a package holds two (failure, erasure,
+# obs).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeNeverPanics -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzKeyEquality -fuzztime 30s ./internal/sweep
@@ -75,6 +76,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReconstruct$$' -fuzztime 30s ./internal/erasure
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeKernelMatchesScalar$$' -fuzztime 30s ./internal/erasure
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerEquivalence -fuzztime 30s ./internal/mpisim
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTraceJSON$$' -fuzztime 30s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateMetricsJSON$$' -fuzztime 30s ./internal/obs
 
 # Regenerate the golden reference after an intentional numbers change.
 # Review the diff before committing: every change here is a change to the

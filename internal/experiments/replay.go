@@ -5,6 +5,7 @@ import (
 
 	"mlckpt/internal/core"
 	"mlckpt/internal/failure"
+	"mlckpt/internal/obs"
 	"mlckpt/internal/sim"
 	"mlckpt/internal/stats"
 )
@@ -12,9 +13,10 @@ import (
 // ReplayResult is one deterministic re-execution of a recorded failure
 // trace against the canonical evaluation scenario.
 type ReplayResult struct {
-	Spec  string
-	Trace int // events in the input trace
-	Res   sim.Result
+	Spec   string
+	Trace  int // events in the input trace
+	Res    sim.Result
+	events []obs.TrackEvent // the run's whole trace track: its event log
 }
 
 // Replay runs the canonical evaluation scenario (Te = 3M core-days,
@@ -31,16 +33,19 @@ func Replay(trace []failure.Event) (ReplayResult, error) {
 	if err != nil {
 		return out, err
 	}
+	const track = "replay"
+	col := obs.NewCollector()
 	cfg := sim.Config{
 		Params: p, N: opt.N, X: opt.X,
 		MaxWallClock: sc.MaxDays * failure.SecondsPerDay,
 		Replay:       trace,
-		RecordEvents: true,
+		Obs:          col, ObsTrack: track, ObsMaxEvents: -1,
 	}
 	// The seed is irrelevant in replay mode with zero jitter; any fixed
 	// value yields the identical run.
 	const replaySeed uint64 = 1
 	out.Res, err = sim.Run(cfg, stats.NewRNG(replaySeed))
+	out.events = col.Trace.Events(track)
 	return out, err
 }
 
@@ -56,23 +61,37 @@ func (r ReplayResult) Render() string {
 	t.Add("rollback time (s)", fmt.Sprintf("%.1f", r.Res.Rollback))
 	t.Add("truncated", fmt.Sprintf("%v", r.Res.Truncated))
 	s := t.String()
-	const maxEvents = 40
-	shown := r.Res.Events
-	// Failures and recoveries are the interesting rows of a replay;
-	// checkpoint completions dominate the event count, so they are
-	// filtered out of the listing.
-	var kept []sim.TraceEvent
-	for _, e := range shown {
-		if e.Kind != sim.EvCheckpointDone {
-			kept = append(kept, e)
+	// Failures, aborted checkpoints, recoveries and the completion are the
+	// interesting rows of a replay. Completed checkpoints dominate the
+	// track, so they stay out of the listing with every other event. A
+	// span is listed at its end; a recovery span carries no progress, so
+	// its row shows where the last rollback left the run.
+	line := func(at float64, what string, level, progress float64) string {
+		return fmt.Sprintf("  %.1fs %s L%d p=%.0f\n", at, what, int(level), progress)
+	}
+	var kept []string
+	restored := 0.0
+	for _, e := range r.events {
+		switch e.Name {
+		case "rollback":
+			restored = e.Arg("to")
+		case "failure":
+			kept = append(kept, line(e.TS, "failure", e.Arg("class"), e.Arg("progress")))
+		case "checkpoint-abort":
+			kept = append(kept, line(e.TS+e.Dur, "checkpoint-abort", e.Arg("level"), e.Arg("progress")))
+		case "recovery":
+			kept = append(kept, line(e.TS+e.Dur, "recovery", e.Arg("restore_level"), restored))
+		case "complete":
+			kept = append(kept, line(e.TS, "completion", 0, e.Arg("progress")))
 		}
 	}
-	for i, e := range kept {
+	const maxEvents = 40
+	for i, l := range kept {
 		if i == maxEvents {
 			s += fmt.Sprintf("  ... %d more events\n", len(kept)-maxEvents)
 			break
 		}
-		s += "  " + e.String() + "\n"
+		s += l
 	}
 	return s
 }

@@ -95,20 +95,6 @@ func (r Rates) ExpectedFailures(i int, n, durationSec float64) float64 {
 	return r.PerSecondAt(i, n) * durationSec
 }
 
-// Spec renders the scenario back in the paper's "r1-r2-…" notation, in a
-// form ParseRates reads back to the same rates.
-func (r Rates) Spec() string {
-	parts := make([]string, len(r.PerDay))
-	for i, v := range r.PerDay {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-		if strings.Contains(parts[i], "e-") {
-			// The exponent's sign would read as a level separator.
-			parts[i] = strconv.FormatFloat(v, 'f', -1, 64)
-		}
-	}
-	return strings.Join(parts, "-")
-}
-
 // Distribution selects the interarrival law for sampled failure traces.
 type Distribution int
 
@@ -248,24 +234,4 @@ func Trace(r Rates, n, horizon float64, dist Distribution, shape float64, rng *s
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Time < out[b].Time })
 	return out
-}
-
-// CorrelatedWindows groups a sorted trace into windows of the given length
-// (seconds) and returns the sizes of the groups with at least two events —
-// the "simultaneous failure" clusters of the paper's footnote 1 (window
-// lengths of 1–2 minutes in [17], [18]).
-func CorrelatedWindows(events []Event, window float64) []int {
-	var sizes []int
-	i := 0
-	for i < len(events) {
-		j := i + 1
-		for j < len(events) && events[j].Time-events[i].Time <= window {
-			j++
-		}
-		if j-i >= 2 {
-			sizes = append(sizes, j-i)
-		}
-		i = j
-	}
-	return sizes
 }

@@ -23,8 +23,8 @@ func TestParseRates(t *testing.T) {
 			t.Errorf("level %d rate = %g, want %g", i+1, r.PerDay[i], w)
 		}
 	}
-	if r.Spec() != "16-12-8-4" {
-		t.Errorf("Spec = %q", r.Spec())
+	if s := rateSpec(r); s != "16-12-8-4" {
+		t.Errorf("rateSpec = %q", s)
 	}
 }
 
@@ -183,21 +183,6 @@ func TestProcessEmpiricalRates(t *testing.T) {
 	}
 	if math.Abs(counts[1]/200-4) > 0.8 {
 		t.Errorf("level 2 rate %.2f/day, want 4", counts[1]/200)
-	}
-}
-
-func TestCorrelatedWindows(t *testing.T) {
-	events := []Event{
-		{Time: 0}, {Time: 30}, {Time: 45},
-		{Time: 1000},
-		{Time: 5000}, {Time: 5059},
-	}
-	sizes := CorrelatedWindows(events, 60)
-	if len(sizes) != 2 || sizes[0] != 3 || sizes[1] != 2 {
-		t.Errorf("sizes = %v, want [3 2]", sizes)
-	}
-	if s := CorrelatedWindows(nil, 60); s != nil {
-		t.Errorf("empty trace gave %v", s)
 	}
 }
 

@@ -237,15 +237,11 @@ func (c Config) SerialTime() float64 {
 	return float64(c.GridX) * float64(c.GridY) * float64(c.Iterations) * c.CellTime
 }
 
-// MeasureSpeedup runs the problem at each scale and returns (scale,
+// MeasureSpeedupObs runs the problem at each scale and returns (scale,
 // speedup) samples: speedup = serial time / measured parallel wall clock.
-func MeasureSpeedup(cfg Config, cost mpisim.CostModel, scales []int) ([]Sample, error) {
-	return MeasureSpeedupObs(cfg, cost, scales, nil, "")
-}
-
-// MeasureSpeedupObs is MeasureSpeedup with telemetry: each scale's run is
-// observed through rec on track "<track>/p<scale>" (see mpisim.RunObserved).
-// A nil recorder or empty track disables tracing.
+// Each scale's run is observed through rec on track "<track>/p<scale>"
+// (see mpisim.RunObserved); a nil recorder or empty track disables
+// tracing.
 func MeasureSpeedupObs(cfg Config, cost mpisim.CostModel, scales []int, rec obs.Recorder, track string) ([]Sample, error) {
 	return measureSpeedup(cfg, cost, scales, rec, track, func(r *mpisim.Rank) {
 		s, err := NewSolver(r, cfg)

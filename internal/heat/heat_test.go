@@ -257,7 +257,7 @@ func TestTemperatureBounds(t *testing.T) {
 
 func TestMeasureSpeedupRises(t *testing.T) {
 	cfg := Config{GridX: 128, GridY: 128, Iterations: 10, CellTime: 1e-7, TopTemp: 100}
-	samples, err := MeasureSpeedup(cfg, mpisim.DefaultCostModel(), []int{1, 2, 4, 8, 16})
+	samples, err := MeasureSpeedupObs(cfg, mpisim.DefaultCostModel(), []int{1, 2, 4, 8, 16}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,18 +107,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Zero reports whether the spec injects nothing.
-func (s Spec) Zero() bool {
-	for _, r := range s.CorruptRate {
-		if r > 0 {
-			return false
-		}
-	}
-	return s.PartnerPairRate == 0 && s.ParityHolderRate == 0 &&
-		s.CkptAbortRate == 0 && s.RecoveryCrashRate == 0 &&
-		s.PFSWriteFailRate == 0 && s.PFSReadFailRate == 0
-}
-
 // FaultKind tags a snapshot corruption.
 type FaultKind int
 
@@ -205,14 +193,6 @@ func MustCompile(spec Spec, root uint64, key string) *Plan {
 		panic(err)
 	}
 	return p
-}
-
-// Spec returns the plan's fault specification.
-func (p *Plan) Spec() Spec {
-	if p == nil {
-		return Spec{}
-	}
-	return p.spec
 }
 
 // Seed returns the derived decision seed (for labeling runs and traces).

@@ -41,18 +41,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-func TestZero(t *testing.T) {
-	if !(Spec{}).Zero() {
-		t.Error("zero spec not Zero")
-	}
-	if !(Spec{CorruptRate: []float64{0, 0}}).Zero() {
-		t.Error("all-zero corrupt rates not Zero")
-	}
-	if (Spec{PFSReadFailRate: 0.1}).Zero() {
-		t.Error("nonzero spec reported Zero")
-	}
-}
-
 // TestPlanDeterministic pins the core guarantee: every decision is a pure
 // function of (seed, identity), independent of call order.
 func TestPlanDeterministic(t *testing.T) {

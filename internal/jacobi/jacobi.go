@@ -33,11 +33,6 @@ type Config struct {
 	Seed       uint64  // system generator seed (diagonally dominant A)
 }
 
-// DefaultConfig is a small, fast system.
-func DefaultConfig() Config {
-	return Config{N: 128, Iterations: 40, FlopTime: 1e-9, Seed: 7}
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.N < 2 {

@@ -8,6 +8,11 @@ import (
 	"mlckpt/internal/mpisim"
 )
 
+// DefaultConfig is a small, fast system.
+func DefaultConfig() Config {
+	return Config{N: 128, Iterations: 40, FlopTime: 1e-9, Seed: 7}
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default invalid: %v", err)

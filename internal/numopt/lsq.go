@@ -10,73 +10,65 @@ import (
 // its inputs are inconsistent.
 var ErrBadFit = errors.New("numopt: least-squares fit failed")
 
-// LeastSquares solves min ‖A·c − y‖₂ via the normal equations AᵀA·c = Aᵀy.
-// The design matrices in this repository are tiny (a handful of basis
-// functions over at most a few dozen characterization points), so normal
-// equations with partial-pivot elimination are numerically adequate.
-func LeastSquares(a *Matrix, y []float64) ([]float64, error) {
-	if a.Rows != len(y) {
-		return nil, fmt.Errorf("%w: %d rows vs %d observations", ErrBadFit, a.Rows, len(y))
-	}
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("%w: underdetermined (%d rows, %d unknowns)", ErrBadFit, a.Rows, a.Cols)
-	}
-	at := a.Transpose()
-	ata, err := at.Mul(a)
-	if err != nil {
-		return nil, err
-	}
-	aty, err := at.MulVec(y)
-	if err != nil {
-		return nil, err
-	}
-	c, err := SolveLinear(ata, aty)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFit, err)
-	}
-	return c, nil
-}
-
-// FitBasis fits y ≈ Σ c_j · basis_j(x) over sample points (xs, ys).
-func FitBasis(xs, ys []float64, basis []Func) ([]float64, error) {
+// fit2 fits y ≈ c0·u(x) + c1·v(x) over the samples (xs, ys), where basis
+// returns (u(x), v(x)), by solving the 2×2 normal equations AᵀA·c = Aᵀy.
+// The design matrices in this repository are tiny (two basis functions
+// over at most a few dozen characterization points), so normal equations
+// with a partial pivot are numerically adequate. Figure 2 and Table II
+// print these fits, so the order of operations is fixed: the sums run in
+// sample order from zero, an AᵀA term whose row's basis value is zero is
+// skipped, the rows swap when the second pivot candidate is larger, and
+// both pivots must reach 1e-300.
+func fit2(xs, ys []float64, basis func(x float64) (u, v float64)) (c0, c1 float64, err error) {
 	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("%w: %d xs vs %d ys", ErrBadFit, len(xs), len(ys))
+		return 0, 0, fmt.Errorf("%w: %d xs vs %d ys", ErrBadFit, len(xs), len(ys))
 	}
-	a := NewMatrix(len(xs), len(basis))
+	if len(xs) < 2 {
+		return 0, 0, fmt.Errorf("%w: underdetermined (%d samples, 2 unknowns)", ErrBadFit, len(xs))
+	}
+	var a00, a01, a10, a11, r0, r1 float64
 	for i, x := range xs {
-		for j, b := range basis {
-			a.Set(i, j, b(x))
+		u, v := basis(x)
+		if u != 0 {
+			a00 += u * u
+			a01 += u * v
 		}
+		if v != 0 {
+			a10 += v * u
+			a11 += v * v
+		}
+		r0 += u * ys[i]
+		r1 += v * ys[i]
 	}
-	return LeastSquares(a, ys)
+	if math.Abs(a10) > math.Abs(a00) {
+		a00, a01, a10, a11 = a10, a11, a00, a01
+		r0, r1 = r1, r0
+	}
+	if factor := a10 * (1 / a00); factor != 0 {
+		a11 -= factor * a01
+		r1 -= factor * r0
+	}
+	c1 = r1 / a11
+	c0 = (r0 - a01*c1) / a00
+	if math.Abs(a00) < 1e-300 || math.Abs(a11) < 1e-300 ||
+		math.IsNaN(c0) || math.IsInf(c0, 0) || math.IsNaN(c1) || math.IsInf(c1, 0) {
+		return 0, 0, fmt.Errorf("%w: singular normal equations", ErrBadFit)
+	}
+	return c0, c1, nil
 }
 
 // FitLine fits y ≈ intercept + slope·x and returns (intercept, slope).
 // It is the fitting rule for the per-level overhead models
 // C_i(N) = ε_i + α_i·H_c(N) in Formula (19): callers pass H_c(N) as x.
 func FitLine(xs, ys []float64) (intercept, slope float64, err error) {
-	c, err := FitBasis(xs, ys, []Func{
-		func(float64) float64 { return 1 },
-		func(x float64) float64 { return x },
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return c[0], c[1], nil
+	return fit2(xs, ys, func(x float64) (float64, float64) { return 1, x })
 }
 
 // FitQuadraticThroughOrigin fits y ≈ a·x² + b·x (no constant term), the form
 // of the paper's speedup curve g(N) = −κ/(2N^(*))·N² + κN (Formula 12),
 // which must pass through the origin. It returns (a, b).
 func FitQuadraticThroughOrigin(xs, ys []float64) (a, b float64, err error) {
-	c, err := FitBasis(xs, ys, []Func{
-		func(x float64) float64 { return x * x },
-		func(x float64) float64 { return x },
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return c[0], c[1], nil
+	return fit2(xs, ys, func(x float64) (float64, float64) { return x * x, x })
 }
 
 // RSquared computes the coefficient of determination of predictions pred

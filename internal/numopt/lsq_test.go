@@ -65,17 +65,26 @@ func TestFitQuadraticThroughOrigin(t *testing.T) {
 	}
 }
 
-func TestLeastSquaresUnderdetermined(t *testing.T) {
-	a := NewMatrix(1, 2)
-	if _, err := LeastSquares(a, []float64{1}); !errors.Is(err, ErrBadFit) {
-		t.Errorf("err = %v, want ErrBadFit", err)
-	}
-}
-
-func TestFitBasisLengthMismatch(t *testing.T) {
-	_, err := FitBasis([]float64{1, 2}, []float64{1}, []Func{func(x float64) float64 { return x }})
-	if !errors.Is(err, ErrBadFit) {
-		t.Errorf("err = %v, want ErrBadFit", err)
+// TestFitLineErrors: every failure of the two-column fit wraps ErrBadFit
+// — fewer samples than unknowns, mismatched lengths, and normal equations
+// with no unique solution (a vertical line, and a quadratic through the
+// origin sampled only at x = 0).
+func TestFitLineErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		xs, ys []float64
+		fit    func(xs, ys []float64) (float64, float64, error)
+	}{
+		{"underdetermined", []float64{1}, []float64{1}, FitLine},
+		{"length-mismatch", []float64{1, 2}, []float64{1}, FitLine},
+		{"singular", []float64{2, 2, 2}, []float64{1, 2, 3}, FitLine},
+		{"singular-quadratic", []float64{0, 0}, []float64{1, 2}, FitQuadraticThroughOrigin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := tc.fit(tc.xs, tc.ys); !errors.Is(err, ErrBadFit) {
+				t.Errorf("err = %v, want ErrBadFit", err)
+			}
+		})
 	}
 }
 

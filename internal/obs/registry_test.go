@@ -132,16 +132,20 @@ func TestNopRecorderIsInert(t *testing.T) {
 	}
 }
 
+// metricsRejects are documents ValidateMetricsJSON must refuse.
+// FuzzValidateMetricsJSON seeds its corpus with them.
+var metricsRejects = map[string]string{
+	"not json":      "{",
+	"wrong schema":  `{"schema":"other/v9","captured_unix_ns":0,"metrics":[],"volatile":[]}`,
+	"unsorted":      `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"b","type":"counter"},{"name":"a","type":"counter"}],"volatile":[]}`,
+	"unknown type":  `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"widget"}],"volatile":[]}`,
+	"unknown field": `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[],"volatile":[],"extra":1}`,
+	"bad buckets":   `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"histogram","count":3,"buckets":[{"le":1,"n":1}]}],"volatile":[]}`,
+	"trailing data": `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[],"volatile":[]}x`,
+}
+
 func TestValidateMetricsRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"not json":      "{",
-		"wrong schema":  `{"schema":"other/v9","captured_unix_ns":0,"metrics":[],"volatile":[]}`,
-		"unsorted":      `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"b","type":"counter"},{"name":"a","type":"counter"}],"volatile":[]}`,
-		"unknown type":  `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"widget"}],"volatile":[]}`,
-		"unknown field": `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[],"volatile":[],"extra":1}`,
-		"bad buckets":   `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"histogram","count":3,"buckets":[{"le":1,"n":1}]}],"volatile":[]}`,
-	}
-	for name, doc := range cases {
+	for name, doc := range metricsRejects {
 		if _, err := ValidateMetricsJSON([]byte(doc)); err == nil {
 			t.Errorf("%s: validation passed, want error", name)
 		}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -100,22 +99,30 @@ func (t *Trace) Events(track string) []TrackEvent {
 
 // DecodeTraceJSON parses an exported Chrome trace (the MarshalJSON format)
 // back into a Trace, so tools can consume artifact files with the same
-// accessors they use in-process. Timestamps round-trip through the file's
+// accessors they use in-process. It is also the trace validator: one
+// JSON document in the exporter schema, a traceEvents array, named events of known phases,
+// timestamps and span durations that are not negative and that the export
+// can write back, no duration on an instant, and thread_name metadata
+// ahead of every referenced tid. Timestamps round-trip through the file's
 // microsecond encoding, which costs at most one ulp of virtual time; the
 // attribution identity is insensitive to that (see internal/obs/attrib).
 func DecodeTraceJSON(data []byte) (*Trace, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var ct chromeTrace
-	if err := dec.Decode(&ct); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	if err := decodeStrict(data, &ct); err != nil {
+		return nil, err
 	}
 	if ct.Schema != TraceSchema {
 		return nil, fmt.Errorf("%w: schema %q, want %q", ErrInvalid, ct.Schema, TraceSchema)
 	}
+	if ct.TraceEvents == nil {
+		return nil, fmt.Errorf("%w: missing traceEvents", ErrInvalid)
+	}
 	names := map[int]string{}
 	tr := NewTrace()
 	for _, ev := range ct.TraceEvents {
+		if ev.Name == "" {
+			return nil, fmt.Errorf("%w: event with empty name", ErrInvalid)
+		}
 		if ev.Ph == phaseMeta {
 			if name, ok := ev.Args["name"].(string); ok && ev.Name == "thread_name" {
 				names[ev.TID] = name
@@ -124,6 +131,12 @@ func DecodeTraceJSON(data []byte) (*Trace, error) {
 		}
 		if ev.Ph != phaseComplete && ev.Ph != phaseInstant {
 			return nil, fmt.Errorf("%w: event %q: unknown phase %q", ErrInvalid, ev.Name, ev.Ph)
+		}
+		if !encodable(ev.TS) {
+			return nil, fmt.Errorf("%w: event %q: bad timestamp %g", ErrInvalid, ev.Name, ev.TS)
+		}
+		if ev.Dur != nil && (!encodable(*ev.Dur) || ev.Ph == phaseInstant) {
+			return nil, fmt.Errorf("%w: event %q: bad duration %g for phase %q", ErrInvalid, ev.Name, *ev.Dur, ev.Ph)
 		}
 		track, ok := names[ev.TID]
 		if !ok {
@@ -147,6 +160,13 @@ func DecodeTraceJSON(data []byte) (*Trace, error) {
 		tr.add(track, ev.Name, ev.Ph, ev.TS/1e6, dur, args)
 	}
 	return tr, nil
+}
+
+// encodable reports whether us microseconds is a valid timestamp or
+// duration in a trace file: not negative, and still finite after the
+// decode to seconds and the export back to microseconds.
+func encodable(us float64) bool {
+	return us >= 0 && !math.IsInf(us/1e6*1e6, 0)
 }
 
 // Len reports the number of buffered events across all tracks.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -64,23 +65,58 @@ func TestDecodeTraceJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// traceRejects are documents DecodeTraceJSON must refuse, each with an
+// error wrapping ErrInvalid. FuzzDecodeTraceJSON seeds its corpus with them.
+var traceRejects = map[string]string{
+	"not JSON":      "]",
+	"not JSON (2)":  "[",
+	"wrong schema":  `{"schema":"other/v1","displayTimeUnit":"ms","traceEvents":[]}`,
+	"unknown field": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[],"extra":1}`,
+	"no events":     `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms"}`,
+	"orphan tid": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
+		{"name":"x","ph":"i","ts":0,"pid":0,"tid":7,"s":"t"}]}`,
+	"unknown phase": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
+		{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"a"}},
+		{"name":"x","ph":"B","ts":0,"pid":0,"tid":0}]}`,
+	"non-numeric arg": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
+		{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"a"}},
+		{"name":"x","ph":"i","ts":0,"pid":0,"tid":0,"s":"t","args":{"k":"v"}}]}`,
+	"empty name": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
+		{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"a"}},
+		{"name":"","ph":"i","ts":0,"pid":0,"tid":0,"s":"t"}]}`,
+	"negative ts": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
+		{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"t"}},
+		{"name":"e","ph":"i","s":"t","ts":-5,"pid":0,"tid":0}]}`,
+	"negative dur": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
+		{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"t"}},
+		{"name":"e","ph":"X","ts":5,"dur":-1,"pid":0,"tid":0}]}`,
+	// The largest float64 decodes to seconds that re-export as +Inf µs.
+	"ts past the encoding": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
+		{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"t"}},
+		{"name":"e","ph":"i","s":"t","ts":1.7976931348623157e308,"pid":0,"tid":0}]}`,
+	"dur past the encoding": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
+		{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"t"}},
+		{"name":"e","ph":"X","ts":0,"dur":1.7976931348623157e308,"pid":0,"tid":0}]}`,
+	// The fuzz corpus entry 120bc37f315d38a9 held both of the next two:
+	// an instant carrying a duration the export drops, and data after the
+	// document.
+	"instant with dur": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
+		{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"t"}},
+		{"name":"e","ph":"i","s":"t","ts":10,"dur":10,"pid":0,"tid":0}]}`,
+	"trailing data": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[]}0`,
+	"second document": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[]}
+		{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[]}`,
+	"stray brace": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[]}}`,
+}
+
 func TestDecodeTraceJSONRejects(t *testing.T) {
-	cases := map[string]string{
-		"not JSON":      "]",
-		"wrong schema":  `{"schema":"other/v1","displayTimeUnit":"ms","traceEvents":[]}`,
-		"unknown field": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[],"extra":1}`,
-		"orphan tid": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
-			{"name":"x","ph":"i","ts":0,"pid":0,"tid":7,"s":"t"}]}`,
-		"unknown phase": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
-			{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"a"}},
-			{"name":"x","ph":"B","ts":0,"pid":0,"tid":0}]}`,
-		"non-numeric arg": `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[
-			{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"a"}},
-			{"name":"x","ph":"i","ts":0,"pid":0,"tid":0,"s":"t","args":{"k":"v"}}]}`,
-	}
-	for name, doc := range cases {
-		if _, err := DecodeTraceJSON([]byte(doc)); err == nil {
-			t.Errorf("%s: decoder accepted:\n%s", name, doc)
+	for name, doc := range traceRejects {
+		if _, err := DecodeTraceJSON([]byte(doc)); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: err = %v, want ErrInvalid, for:\n%s", name, err, doc)
 		}
+	}
+	empty, err := DecodeTraceJSON([]byte(`{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[]}`))
+	if err != nil || empty.Len() != 0 {
+		t.Errorf("empty trace: %v, %v", empty, err)
 	}
 }

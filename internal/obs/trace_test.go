@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -19,7 +20,7 @@ func TestTraceExportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateTraceJSON(b); err != nil {
+	if _, err := DecodeTraceJSON(b); err != nil {
 		t.Fatalf("own export rejected: %v", err)
 	}
 	var doc struct {
@@ -106,7 +107,7 @@ func TestTraceDropsNonFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateTraceJSON(b); err != nil {
+	if _, err := DecodeTraceJSON(b); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(b), "nan") {
@@ -114,6 +115,8 @@ func TestTraceDropsNonFinite(t *testing.T) {
 	}
 }
 
+// DecodeTraceJSON is the trace validator that obstool validate runs over
+// exported artifacts; TestDecodeTraceJSONRejects holds the fuller table.
 func TestValidateTraceRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
 		"not json":     "[",
@@ -123,11 +126,11 @@ func TestValidateTraceRejectsGarbage(t *testing.T) {
 		"negative ts":  `{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"t"}},{"name":"e","ph":"i","s":"t","ts":-5,"pid":0,"tid":0}]}`,
 	}
 	for name, doc := range cases {
-		if _, err := ValidateTraceJSON([]byte(doc)); err == nil {
-			t.Errorf("%s: validation passed, want error", name)
+		if _, err := DecodeTraceJSON([]byte(doc)); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: err = %v, want ErrInvalid", name, err)
 		}
 	}
-	if _, err := ValidateTraceJSON([]byte(`{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[]}`)); err != nil {
+	if _, err := DecodeTraceJSON([]byte(`{"schema":"mlckpt.trace/v1","displayTimeUnit":"ms","traceEvents":[]}`)); err != nil {
 		t.Errorf("empty trace rejected: %v", err)
 	}
 }

@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
+	"io"
 	"sort"
 )
 
 // ErrInvalid is returned when a serialized snapshot or trace does not
-// conform to the exporter schema.
+// conform to the exporter schema (see ValidateMetricsJSON and
+// DecodeTraceJSON).
 var ErrInvalid = errors.New("obs: invalid document")
 
 // ValidateMetricsJSON checks that data is a well-formed metrics snapshot:
@@ -18,11 +19,9 @@ var ErrInvalid = errors.New("obs: invalid document")
 // internally consistent histograms. On success it returns the parsed
 // snapshot. CI runs it over the artifacts a real experiment produced.
 func ValidateMetricsJSON(data []byte) (Snapshot, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Snapshot
-	if err := dec.Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	if err := decodeStrict(data, &s); err != nil {
+		return Snapshot{}, err
 	}
 	if s.Schema != MetricsSchema {
 		return Snapshot{}, fmt.Errorf("%w: schema %q, want %q", ErrInvalid, s.Schema, MetricsSchema)
@@ -34,13 +33,34 @@ func ValidateMetricsJSON(data []byte) (Snapshot, error) {
 		if !sort.SliceIsSorted(sec, func(i, j int) bool { return sec[i].Name < sec[j].Name }) {
 			return Snapshot{}, fmt.Errorf("%w: metrics not sorted by name", ErrInvalid)
 		}
-		for _, m := range sec {
-			if err := validateMetric(m); err != nil {
+		for i := range sec {
+			if err := validateMetric(sec[i]); err != nil {
 				return Snapshot{}, err
+			}
+			if len(sec[i].Buckets) == 0 {
+				// The exporter's form of a metric with no non-empty
+				// bucket, so a validated snapshot re-exports to itself.
+				sec[i].Buckets = nil
 			}
 		}
 	}
 	return s, nil
+}
+
+// decodeStrict decodes data as one JSON document into v, rejecting unknown
+// fields and anything but white space after the document: a file with
+// another document or garbage appended is not the file the exporter
+// wrote.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%w: data after the document", ErrInvalid)
+	}
+	return nil
 }
 
 func validateMetric(m Metric) error {
@@ -67,49 +87,4 @@ func validateMetric(m Metric) error {
 		return fmt.Errorf("%w: %s: unknown metric type %q", ErrInvalid, m.Name, m.Type)
 	}
 	return nil
-}
-
-// ValidateTraceJSON checks that data is a well-formed virtual-time trace:
-// the exporter schema, known event phases, finite non-negative
-// timestamps, and thread_name metadata covering every referenced tid. On
-// success it returns the number of non-metadata events.
-func ValidateTraceJSON(data []byte) (int, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var t chromeTrace
-	if err := dec.Decode(&t); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if t.Schema != TraceSchema {
-		return 0, fmt.Errorf("%w: schema %q, want %q", ErrInvalid, t.Schema, TraceSchema)
-	}
-	if t.TraceEvents == nil {
-		return 0, fmt.Errorf("%w: missing traceEvents", ErrInvalid)
-	}
-	named := map[int]bool{}
-	events := 0
-	for _, ev := range t.TraceEvents {
-		if ev.Name == "" {
-			return 0, fmt.Errorf("%w: event with empty name", ErrInvalid)
-		}
-		switch ev.Ph {
-		case phaseMeta:
-			named[ev.TID] = true
-			continue
-		case phaseComplete, phaseInstant:
-		default:
-			return 0, fmt.Errorf("%w: event %q: unknown phase %q", ErrInvalid, ev.Name, ev.Ph)
-		}
-		if math.IsNaN(ev.TS) || math.IsInf(ev.TS, 0) || ev.TS < 0 {
-			return 0, fmt.Errorf("%w: event %q: bad timestamp %g", ErrInvalid, ev.Name, ev.TS)
-		}
-		if ev.Dur != nil && (math.IsNaN(*ev.Dur) || math.IsInf(*ev.Dur, 0) || *ev.Dur < 0) {
-			return 0, fmt.Errorf("%w: event %q: bad duration %g", ErrInvalid, ev.Name, *ev.Dur)
-		}
-		if !named[ev.TID] {
-			return 0, fmt.Errorf("%w: event %q: tid %d has no thread_name metadata", ErrInvalid, ev.Name, ev.TID)
-		}
-		events++
-	}
-	return events, nil
 }

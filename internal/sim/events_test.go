@@ -1,38 +1,62 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"mlckpt/internal/failure"
+	"mlckpt/internal/obs"
 	"mlckpt/internal/stats"
 	"mlckpt/internal/trace"
 )
 
+// failureTrace lists a track's failure instants as a failure trace.
+func failureTrace(track []obs.TrackEvent) []failure.Event {
+	var out []failure.Event
+	for _, e := range track {
+		if e.Name == "failure" {
+			out = append(out, failure.Event{Time: e.TS, Level: int(e.Arg("class")) - 1})
+		}
+	}
+	return out
+}
+
+// runTrack plays one run with a private collector on an unlimited trace
+// track and returns the result with the track's events: the run's event
+// log, as experiments.Replay, obs/attrib and cmd/obstool read it.
+func runTrack(cfg Config, rng *stats.RNG) (Result, []obs.TrackEvent, error) {
+	const track = "sim/run"
+	col := obs.NewCollector()
+	cfg.Obs, cfg.ObsTrack, cfg.ObsMaxEvents = col, track, -1
+	res, err := Run(cfg, rng)
+	return res, col.Trace.Events(track), err
+}
+
 func TestRecordedTraceOrderingAndCounts(t *testing.T) {
 	cfg := testConfig("24-12-6-3", 8000, []float64{60, 30, 12, 6})
-	cfg.RecordEvents = true
-	r, err := Run(cfg, stats.NewRNG(3))
+	r, events, err := runTrack(cfg, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Events) == 0 {
+	if len(events) == 0 {
 		t.Fatal("no events recorded")
 	}
-	// Monotone in time.
-	for i := 1; i < len(r.Events); i++ {
-		if r.Events[i].Time < r.Events[i-1].Time-1e-9 {
-			t.Fatalf("events out of order at %d: %v after %v", i, r.Events[i], r.Events[i-1])
+	// Monotone in time: each event starts where the previous one ended.
+	for i := 1; i < len(events); i++ {
+		prev, e := events[i-1], events[i]
+		if end := prev.TS + prev.Dur; e.TS < end-1e-9*end {
+			t.Fatalf("events out of order at %d: %+v after %+v", i, e, prev)
 		}
 	}
 	// Counts must match the scalar counters.
-	failures, ckpts := 0, 0
-	for _, e := range r.Events {
-		switch e.Kind {
-		case EvFailure:
+	failures, ckpts, recoveries := 0, 0, 0
+	for _, e := range events {
+		switch e.Name {
+		case "failure":
 			failures++
-		case EvCheckpointDone:
+		case "checkpoint":
 			ckpts++
+		case "recovery":
+			recoveries++
 		}
 	}
 	if failures != r.TotalFailures() {
@@ -46,29 +70,12 @@ func TestRecordedTraceOrderingAndCounts(t *testing.T) {
 		t.Errorf("trace checkpoints %d != counter %d", ckpts, total)
 	}
 	// Ends with completion.
-	if last := r.Events[len(r.Events)-1]; last.Kind != EvCompletion {
-		t.Errorf("last event %v, want completion", last)
+	if last := events[len(events)-1]; last.Name != "complete" {
+		t.Errorf("last event %+v, want completion", last)
 	}
 	// Every failure is followed (eventually) by a recovery event.
-	recoveries := 0
-	for _, e := range r.Events {
-		if e.Kind == EvRecoveryDone {
-			recoveries++
-		}
-	}
 	if recoveries == 0 && failures > 0 {
 		t.Error("failures recorded but no recovery events")
-	}
-}
-
-func TestRecordingOffByDefault(t *testing.T) {
-	cfg := testConfig("24-12-6-3", 8000, []float64{60, 30, 12, 6})
-	r, err := Run(cfg, stats.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Events != nil {
-		t.Error("events recorded without RecordEvents")
 	}
 }
 
@@ -115,35 +122,16 @@ func TestCorrelationWindowDoesNotAbsorbHigherClass(t *testing.T) {
 	}
 }
 
-func TestEventStrings(t *testing.T) {
-	kinds := []EventKind{EvFailure, EvAbsorbedFailure, EvCheckpointDone, EvCheckpointAbort, EvRecoveryDone, EvCompletion}
-	for _, k := range kinds {
-		if s := k.String(); s == "" || strings.HasPrefix(s, "event(") {
-			t.Errorf("kind %d renders as %q", k, s)
-		}
-	}
-	e := TraceEvent{Time: 12.3, Kind: EvFailure, Level: 2, Progress: 100}
-	if s := e.String(); !strings.Contains(s, "failure") || !strings.Contains(s, "L3") {
-		t.Errorf("event string %q", s)
-	}
-}
-
 func TestRecordedTraceFeedsTraceAnalysis(t *testing.T) {
 	// The simulator's recorded failure events must have the statistics the
 	// trace package expects: per-level rates proportional to the input.
 	cfg := testConfig("24-12-6-3", 1e4, []float64{200, 100, 40, 20})
 	cfg.Params.Te = 2000 * 86400
-	cfg.RecordEvents = true
-	r, err := Run(cfg, stats.NewRNG(77))
+	r, track, err := runTrack(cfg, stats.NewRNG(77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []failure.Event
-	for _, e := range r.Events {
-		if e.Kind == EvFailure {
-			events = append(events, failure.Event{Time: e.Time, Level: e.Level})
-		}
-	}
+	events := failureTrace(track)
 	st, err := trace.Analyze(events, 4, r.WallClock)
 	if err != nil {
 		t.Fatal(err)

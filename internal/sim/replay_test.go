@@ -81,20 +81,12 @@ func TestReplayRoundTripFromRecordedRun(t *testing.T) {
 	// (failures during recovery are clamped forward in the replay, which
 	// the recorded event times already reflect).
 	cfg := testConfig("8-4-2-1", 8000, []float64{60, 30, 12, 6})
-	cfg.RecordEvents = true
-	orig, err := Run(cfg, stats.NewRNG(21))
+	orig, track, err := runTrack(cfg, stats.NewRNG(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace []failure.Event
-	for _, e := range orig.Events {
-		if e.Kind == EvFailure {
-			trace = append(trace, failure.Event{Time: e.Time, Level: e.Level})
-		}
-	}
 	replay := cfg
-	replay.RecordEvents = false
-	replay.Replay = trace
+	replay.Replay = failureTrace(track)
 	rep, err := Run(replay, stats.NewRNG(999))
 	if err != nil {
 		t.Fatal(err)

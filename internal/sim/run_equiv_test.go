@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -60,8 +59,9 @@ func randomRefX(g *stats.RNG, x []float64, i int) float64 {
 // randomRefConfig draws a configuration reaching every Config feature:
 // 1–5 levels, every overhead baseline with and without a cap, zero-rate
 // levels, Weibull arrivals, MaxWallClock truncation, correlated windows,
-// event recording, replay traces (empty, and with levels outside the
-// hierarchy), and an obs collector with ObsMaxEvents 0, 5 and −1.
+// replay traces (empty, and with levels outside the hierarchy), and an obs
+// collector with ObsMaxEvents 0, 5 and −1. Half the configurations log
+// the run's whole trace track (ObsMaxEvents −1), the run's event log.
 //
 // Costs and rates are drawn against the checkpoint spacing so every run
 // finishes in tens to thousands of events: each cost stays below 30%
@@ -145,7 +145,7 @@ func randomRefConfig(g *stats.RNG) Config {
 	if g.Intn(3) == 0 {
 		cfg.CorrelationWindow = g.Uniform(0, 0.03*P)
 	}
-	cfg.RecordEvents = g.Intn(2) == 0
+	fullTrack := g.Intn(2) == 0
 	switch g.Intn(6) {
 	case 0:
 		cfg.Replay = []failure.Event{} // replay mode with no failures
@@ -167,14 +167,19 @@ func randomRefConfig(g *stats.RNG) Config {
 	case 1:
 		cfg.ObsMaxEvents = 5 // counters only: no track
 	}
+	if fullTrack {
+		cfg.ObsTrack, cfg.ObsMaxEvents = "sim/ref", -1
+	}
 	return cfg
 }
 
 // diffRun runs Run and runRef on the same configuration and seed and
 // describes the first difference: the error, any Result field by float64
-// bits, the recorded events, the RNG's next draw after the run, and —
-// when withObs — both collectors' trace JSON and metrics snapshots.
+// bits, the RNG's next draw after the run, and — when withObs, or always
+// when the run logs its whole trace track — both collectors' traces and
+// metrics snapshots.
 func diffRun(cfg Config, seed uint64, withObs bool) string {
+	withObs = withObs || cfg.ObsTrack != "" && cfg.ObsMaxEvents < 0
 	var colGot, colWant *obs.Collector
 	cfgGot, cfgWant := cfg, cfg
 	if withObs {
@@ -200,15 +205,24 @@ func diffRun(cfg Config, seed uint64, withObs bool) string {
 }
 
 // diffCollectors describes the first difference between two collectors'
-// trace JSON and metrics snapshots.
+// traces, event by event with every time and argument compared by float64
+// bits, which is stricter than comparing their JSON, and between their
+// metrics snapshots.
 func diffCollectors(colGot, colWant *obs.Collector) string {
-	traceGot, err1 := json.Marshal(colGot.Trace)
-	traceWant, err2 := json.Marshal(colWant.Trace)
-	if err1 != nil || err2 != nil {
-		return fmt.Sprintf("trace marshal: %v / %v", err1, err2)
+	tracks := colWant.Trace.Tracks()
+	if got := colGot.Trace.Tracks(); fmt.Sprint(got) != fmt.Sprint(tracks) {
+		return fmt.Sprintf("tracks %q, want %q", got, tracks)
 	}
-	if !bytes.Equal(traceGot, traceWant) {
-		return fmt.Sprintf("trace JSON differs:\n%s\nwant:\n%s", traceGot, traceWant)
+	for _, track := range tracks {
+		got, want := colGot.Trace.Events(track), colWant.Trace.Events(track)
+		if len(got) != len(want) {
+			return fmt.Sprintf("track %s: %d events, want %d", track, len(got), len(want))
+		}
+		for i, w := range want {
+			if !sameEvent(got[i], w) {
+				return fmt.Sprintf("track %s event %d = %+v, want %+v", track, i, got[i], w)
+			}
+		}
 	}
 	metricsGot, err1 := colGot.Registry.Snapshot().MarshalIndent()
 	metricsWant, err2 := colWant.Registry.Snapshot().MarshalIndent()
@@ -219,6 +233,21 @@ func diffCollectors(colGot, colWant *obs.Collector) string {
 		return fmt.Sprintf("metrics differ:\n%s\nwant:\n%s", metricsGot, metricsWant)
 	}
 	return ""
+}
+
+// sameEvent reports whether two trace events agree in name, phase, and
+// every time and argument by float64 bits.
+func sameEvent(a, b obs.TrackEvent) bool {
+	if a.Name != b.Name || a.Phase != b.Phase || len(a.Args) != len(b.Args) ||
+		math.Float64bits(a.TS) != math.Float64bits(b.TS) || math.Float64bits(a.Dur) != math.Float64bits(b.Dur) {
+		return false
+	}
+	for k, v := range a.Args {
+		if w, ok := b.Args[k]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
 }
 
 func diffResult(got, want Result) string {
@@ -246,25 +275,14 @@ func diffResult(got, want Result) string {
 		return fmt.Sprintf("counts %d/%t, want %d/%t",
 			got.Absorbed, got.Truncated, want.Absorbed, want.Truncated)
 	}
-	if len(got.Events) != len(want.Events) || (got.Events == nil) != (want.Events == nil) {
-		return fmt.Sprintf("%d events, want %d", len(got.Events), len(want.Events))
-	}
-	for k, e := range got.Events {
-		w := want.Events[k]
-		if e.Kind != w.Kind || e.Level != w.Level ||
-			math.Float64bits(e.Time) != math.Float64bits(w.Time) ||
-			math.Float64bits(e.Progress) != math.Float64bits(w.Progress) {
-			return fmt.Sprintf("event %d = %+v, want %+v", k, e, w)
-		}
-	}
 	return ""
 }
 
 // TestRunMatchesReference is the differential gate for the bound runner:
 // Run against runRef, the closure-based loop it replaced, over random
 // configurations reaching every Config feature. Everything must match bit
-// for bit — results, recorded events, the RNG stream after the run and
-// the telemetry both emit.
+// for bit — results, the RNG stream after the run and the telemetry both
+// emit, which in over half the trials is the run's whole trace track.
 func TestRunMatchesReference(t *testing.T) {
 	trials := 3000
 	if testing.Short() {
@@ -321,9 +339,9 @@ func serialRuns(cfg Config, runs int, seed uint64) ([]Result, error) {
 
 // TestRunManyMatchesSerialRuns holds the parallel batch to serialRuns over
 // the TestRunMatchesReference generator, at several GOMAXPROCS values:
-// the same error, every result by float64 bits with its per-level counts
-// and events, and — with a collector attached — the same trace JSON and
-// metrics snapshot, whatever the workers' interleaving.
+// the same error, every result by float64 bits with its per-level counts,
+// and — with a collector attached — the same trace and metrics snapshot,
+// whatever the workers' interleaving.
 func TestRunManyMatchesSerialRuns(t *testing.T) {
 	trials := 400
 	if testing.Short() {

@@ -112,12 +112,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 	progress := 0.0 // parallel productive seconds completed
 	furthest := 0.0 // furthest progress ever reached
 
-	record := func(kind EventKind, level int) {
-		if cfg.RecordEvents {
-			res.Events = append(res.Events, TraceEvent{Time: wall, Kind: kind, Level: level, Progress: progress})
-		}
-	}
-
 	// Telemetry: spans live on the run's virtual clock (wall), so the
 	// exported trace is a pure function of (cfg, rng seed) — identical
 	// bytes for any worker count. Tracing is gated on ObsTrack because a
@@ -199,7 +193,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 	// collapse at scale (the paper's ~890-day SL(ori-scale) in Table IV).
 	handleFailure := func(c int) {
 		res.Failures[c]++
-		record(EvFailure, c)
 		failureInstant(c)
 		restoreLvl := strike(c)
 		rollbackInstant := func() {
@@ -220,7 +213,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 				}
 				consumeFailure()
 				res.Absorbed++
-				record(EvAbsorbedFailure, ev.Level)
 				if tracing() {
 					rec.Instant(cfg.ObsTrack, "failure-absorbed", ev.Time, map[string]float64{
 						"class": float64(ev.Level + 1),
@@ -243,7 +235,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 				}
 				wall += dur
 				res.Restart += dur
-				record(EvRecoveryDone, restoreLvl)
 				return
 			}
 			// Failure during recovery: the elapsed slice still counts as
@@ -258,7 +249,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 			res.Restart += ev.Time - wall
 			wall = ev.Time
 			res.Failures[ev.Level]++
-			record(EvFailure, ev.Level)
 			failureInstant(ev.Level)
 			if ev.Level > c {
 				c = ev.Level
@@ -338,7 +328,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 				})
 			}
 			wall = ev.Time
-			record(EvCheckpointAbort, dueLevel)
 			handleFailure(ev.Level)
 			continue
 		}
@@ -357,7 +346,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 		} else {
 			res.Checkpoint += dur
 		}
-		record(EvCheckpointDone, dueLevel)
 		res.CheckpointsTaken[dueLevel]++
 		lastCkpt[dueLevel] = progress
 		if progress > furthestCkpt[dueLevel] {
@@ -375,7 +363,6 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 	}
 
 	res.WallClock = wall
-	record(EvCompletion, -1)
 	if tracing() {
 		rec.Instant(cfg.ObsTrack, "complete", wall, map[string]float64{"progress": progress})
 	}

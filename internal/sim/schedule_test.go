@@ -7,6 +7,7 @@ import (
 	"mlckpt/internal/core"
 	"mlckpt/internal/failure"
 	"mlckpt/internal/model"
+	"mlckpt/internal/obs"
 	"mlckpt/internal/overhead"
 	"mlckpt/internal/speedup"
 	"mlckpt/internal/stats"
@@ -23,11 +24,11 @@ type chainPaths struct {
 	offChain  int // checkpoints taken on the machine
 }
 
-// walk replays a run's recorded events against the schedule, following
-// the chain the way the runner does, and counts the transitions taken. It
+// walk replays a run's trace track against the schedule, following the
+// chain the way the runner does, and counts the transitions taken. It
 // fails the test where a checkpoint taken on the chain is not the state's
 // due mark and level, bit for bit.
-func (c *chainPaths) walk(t *testing.T, s schedule, L int, events []TraceEvent) {
+func (c *chainPaths) walk(t *testing.T, s schedule, L int, events []obs.TrackEvent) {
 	t.Helper()
 	pos := -1
 	if len(s.mark) > 0 {
@@ -35,25 +36,27 @@ func (c *chainPaths) walk(t *testing.T, s schedule, L int, events []TraceEvent) 
 	}
 	last := make([]int, L) // chain state of each level's newest checkpoint
 	for _, ev := range events {
-		switch ev.Kind {
-		case EvCheckpointDone:
+		switch ev.Name {
+		case "checkpoint":
+			level, progress := int(ev.Arg("level"))-1, ev.Arg("progress")
 			if pos < 0 {
 				c.offChain++
-				last[ev.Level] = -1
+				last[level] = -1
 				continue
 			}
-			if math.Float64bits(ev.Progress) != math.Float64bits(s.mark[pos]) || ev.Level != s.level[pos] {
+			if math.Float64bits(progress) != math.Float64bits(s.mark[pos]) || level != s.level[pos] {
 				t.Fatalf("checkpoint L%d at %v on chain state %d, whose due mark is L%d at %v",
-					ev.Level+1, ev.Progress, pos, s.level[pos]+1, s.mark[pos])
+					level+1, progress, pos, s.level[pos]+1, s.mark[pos])
 			}
 			c.steps++
-			last[ev.Level] = pos
+			last[level] = pos
 			if pos++; pos == len(s.mark) {
 				c.offEnd++
 				pos = -1
 			}
-		case EvRecoveryDone:
-			if ev.Level < 0 {
+		case "recovery":
+			level := int(ev.Arg("restore_level")) - 1
+			if level < 0 {
 				if s.enter[0] < 0 {
 					pos = -1
 					continue
@@ -65,7 +68,7 @@ func (c *chainPaths) walk(t *testing.T, s schedule, L int, events []TraceEvent) 
 				pos = 0
 				continue
 			}
-			j := last[ev.Level]
+			j := last[level]
 			switch {
 			case j >= 0 && s.enter[j+1] >= 0:
 				c.restores++
@@ -82,7 +85,7 @@ func (c *chainPaths) walk(t *testing.T, s schedule, L int, events []TraceEvent) 
 
 // chainConfig is a run of P = 10⁴ s at N = 1000 with constant checkpoint
 // and recovery costs per level, perDay failures per day per level, and
-// ±30% jitter, recording its events.
+// ±30% jitter.
 func chainConfig(x, ckpt, perDay []float64) Config {
 	const n, P = 1000.0, 1e4
 	levels := make([]overhead.Level, len(x))
@@ -97,7 +100,7 @@ func chainConfig(x, ckpt, perDay []float64) Config {
 			Alloc:   10,
 			Rates:   failure.Rates{PerDay: perDay, Baseline: n},
 		},
-		N: n, X: x, JitterRatio: 0.3, RecordEvents: true,
+		N: n, X: x, JitterRatio: 0.3,
 	}
 }
 
@@ -151,11 +154,11 @@ func TestScheduleTransitionsMatchReference(t *testing.T) {
 				if d := diffRun(tc.cfg, seed, k%4 == 0); d != "" {
 					t.Fatalf("run %d (seed %#x): %s", k, seed, d)
 				}
-				res, err := Run(tc.cfg, stats.NewRNG(seed))
+				_, track, err := runTrack(tc.cfg, stats.NewRNG(seed))
 				if err != nil {
 					t.Fatal(err)
 				}
-				paths.walk(t, s, tc.cfg.Params.L(), res.Events)
+				paths.walk(t, s, tc.cfg.Params.L(), track)
 			}
 			t.Logf("%+v", paths)
 			if paths.steps == 0 || paths.restores == 0 || paths.restarts == 0 || paths.reentries == 0 {
@@ -198,20 +201,24 @@ func TestEvaluationPlansStayOnChain(t *testing.T) {
 				}
 				cfg := Config{
 					Params: p, N: sol.N, X: pol.ExpandX(p, sol), JitterRatio: 0.3,
-					MaxWallClock: 3000 * failure.SecondsPerDay, RecordEvents: true,
+					MaxWallClock: 3000 * failure.SecondsPerDay,
 				}
 				P, err := productiveTime(&cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				s := newSchedule(P, cfg.X)
-				results, err := RunMany(cfg, runs, 20140701)
-				if err != nil {
-					t.Fatal(err)
-				}
+				// RunMany traces only run 0, so each run plays through Run
+				// with its own track, on the generator RunMany would give
+				// it: split from the seed in run order.
+				root := stats.NewRNG(20140701)
 				var paths chainPaths
-				for _, res := range results {
-					paths.walk(t, s, p.L(), res.Events)
+				for k := 0; k < runs; k++ {
+					_, track, err := runTrack(cfg, root.Split())
+					if err != nil {
+						t.Fatal(err)
+					}
+					paths.walk(t, s, p.L(), track)
 				}
 				t.Logf("x = %v, %d states: %+v", cfg.X, len(s.mark), paths)
 				if paths.steps == 0 || paths.offChain != 0 || paths.leaves != 0 || paths.offEnd != 0 || paths.reentries != 0 {

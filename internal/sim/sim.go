@@ -67,9 +67,6 @@ type Config struct {
 	// as one event).
 	CorrelationWindow float64
 
-	// RecordEvents captures a full execution trace in Result.Events.
-	RecordEvents bool
-
 	// Replay, when non-nil, feeds failures from this fixed trace (sorted
 	// by time) instead of sampling the stochastic process — for replaying
 	// a recorded run or a real system's failure log deterministically.
@@ -82,11 +79,12 @@ type Config struct {
 	// run) and, when ObsTrack is also set, checkpoint/recovery/failure
 	// spans on the run's virtual clock. Nil disables instrumentation.
 	Obs obs.Recorder `json:"-"`
-	// ObsTrack names the trace track of this run. It must derive from
-	// the run's content (scenario, policy, cache key) so traces are
-	// identical for every worker count; empty suppresses spans while
-	// keeping counters. It has no effect while Obs is nil: no span is
-	// built for a run that has no recorder.
+	// ObsTrack names the trace track of this run, which is the run's event
+	// log: obs/attrib, cmd/obstool and the experiments package's Replay
+	// read it. It must derive from the run's content (scenario, policy,
+	// cache key) so traces are identical for every worker count; empty
+	// suppresses spans while keeping counters. It has no effect while Obs
+	// is nil: no span is built for a run that has no recorder.
 	ObsTrack string `json:"-"`
 	// ObsMaxEvents bounds the trace events one run may emit: an optimized
 	// exascale run takes tens of thousands of checkpoints, which would
@@ -149,8 +147,6 @@ type Result struct {
 	CheckpointsTaken []int // completed checkpoints per level (incl. re-taken)
 	Absorbed         int   // failures merged into a correlated window
 	Truncated        bool  // MaxWallClock hit before completion
-
-	Events []TraceEvent // populated when Config.RecordEvents is set
 }
 
 // TotalFailures sums the per-class failure counts.
@@ -385,12 +381,6 @@ func (r *runner) refill(from float64) float64 {
 	return r.pending.Time
 }
 
-func (r *runner) record(kind EventKind, level int) {
-	if r.cfg.RecordEvents {
-		r.res.Events = append(r.res.Events, TraceEvent{Time: r.wall, Kind: kind, Level: level, Progress: r.progress})
-	}
-}
-
 // tracing reports whether the next trace event may be emitted. It is
 // small enough to inline, so untraced runs pay one compare per event;
 // call sites test it before calling an emitter.
@@ -500,7 +490,6 @@ func (r *runner) derives(p float64) bool {
 // collapse at scale (the paper's ~890-day SL(ori-scale) in Table IV).
 func (r *runner) handleFailure(c int) {
 	r.res.Failures[c]++
-	r.record(EvFailure, c)
 	if r.tracing() {
 		r.failureInstant(c)
 	}
@@ -518,7 +507,6 @@ func (r *runner) handleFailure(c int) {
 			}
 			r.havePending = false
 			r.res.Absorbed++
-			r.record(EvAbsorbedFailure, r.pending.Level)
 			if r.tracing() {
 				r.rec.Instant(r.cfg.ObsTrack, "failure-absorbed", t, map[string]float64{
 					"class": float64(r.pending.Level + 1),
@@ -541,7 +529,6 @@ func (r *runner) handleFailure(c int) {
 			}
 			r.wall += dur
 			r.res.Restart += dur
-			r.record(EvRecoveryDone, restoreLvl)
 			return
 		}
 		// Failure during recovery: the elapsed slice still counts as
@@ -557,7 +544,6 @@ func (r *runner) handleFailure(c int) {
 		r.res.Restart += t - r.wall
 		r.wall = t
 		r.res.Failures[lvl]++
-		r.record(EvFailure, lvl)
 		if r.tracing() {
 			r.failureInstant(lvl)
 		}
@@ -645,7 +631,6 @@ func (r *runner) run(sched schedule) {
 				r.checkpointSpan("checkpoint-abort", dueLevel, wasted, redo)
 			}
 			r.wall = t
-			r.record(EvCheckpointAbort, dueLevel)
 			r.handleFailure(r.pending.Level)
 			continue
 		}
@@ -658,7 +643,6 @@ func (r *runner) run(sched schedule) {
 		} else {
 			r.res.Checkpoint += dur
 		}
-		r.record(EvCheckpointDone, dueLevel)
 		r.res.CheckpointsTaken[dueLevel]++
 		r.lastCkpt[dueLevel] = r.progress
 		r.lastEntry[dueLevel] = r.pos
@@ -676,7 +660,6 @@ func (r *runner) run(sched schedule) {
 	}
 
 	r.res.WallClock = r.wall
-	r.record(EvCompletion, -1)
 	if r.tracing() {
 		r.rec.Instant(r.cfg.ObsTrack, "complete", r.wall, map[string]float64{"progress": r.progress})
 	}

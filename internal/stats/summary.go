@@ -55,20 +55,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Mean returns the arithmetic mean (NaN for an empty sample).
-func Mean(xs []float64) float64 { return Summarize(xs).Mean }
-
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// under a normal approximation (1.96·σ/√n). The experiment tables report
-// means of 100 runs, as in the paper.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	s := Summarize(xs)
-	return 1.96 * s.StdDev / math.Sqrt(float64(len(xs)))
-}
-
 // RelErr returns |a-b| / max(|a|, |b|, tiny), a symmetric relative error.
 // Experiment validation (Figure 4) asserts on this metric (< 4%).
 func RelErr(a, b float64) float64 {

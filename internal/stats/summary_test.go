@@ -49,24 +49,6 @@ func TestMedianOdd(t *testing.T) {
 	}
 }
 
-func TestCI95ShrinksWithN(t *testing.T) {
-	r := NewRNG(3)
-	small := make([]float64, 10)
-	large := make([]float64, 1000)
-	for i := range small {
-		small[i] = r.Normal(0, 1)
-	}
-	for i := range large {
-		large[i] = r.Normal(0, 1)
-	}
-	if CI95(large) >= CI95(small) {
-		t.Errorf("CI95 did not shrink: %g vs %g", CI95(large), CI95(small))
-	}
-	if !math.IsNaN(CI95([]float64{1})) {
-		t.Error("CI95 of one sample should be NaN")
-	}
-}
-
 func TestRelErr(t *testing.T) {
 	if e := RelErr(100, 104); math.Abs(e-4.0/104.0) > 1e-12 {
 		t.Errorf("RelErr = %g", e)

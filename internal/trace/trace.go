@@ -1,7 +1,5 @@
-// Package trace analyzes failure traces: per-level rate estimation,
-// interarrival distribution diagnostics, and correlated-failure-window
-// statistics (the paper's footnote 1: multiple nodes failing within a 1–2
-// minute window count as one simultaneous failure event).
+// Package trace analyzes failure traces: per-level rate estimation and
+// interarrival distribution diagnostics.
 package trace
 
 import (
@@ -70,33 +68,6 @@ func (s LevelStats) LooksExponential(tol float64) bool {
 		return false // not enough evidence either way
 	}
 	return math.Abs(s.CV-1) <= tol
-}
-
-// WindowStats summarizes correlated-failure clustering for one window
-// length.
-type WindowStats struct {
-	Window        float64 // seconds
-	Clusters      int     // windows containing ≥ 2 events
-	LargestSize   int
-	EventsInside  int // events covered by multi-event windows
-	FractionMulti float64
-}
-
-// Windows computes clustering statistics over a sorted-by-construction
-// trace for the given window length (seconds).
-func Windows(events []failure.Event, window float64) WindowStats {
-	sizes := failure.CorrelatedWindows(events, window)
-	ws := WindowStats{Window: window, Clusters: len(sizes)}
-	for _, s := range sizes {
-		ws.EventsInside += s
-		if s > ws.LargestSize {
-			ws.LargestSize = s
-		}
-	}
-	if len(events) > 0 {
-		ws.FractionMulti = float64(ws.EventsInside) / float64(len(events))
-	}
-	return ws
 }
 
 // EstimateRates fits a failure.Rates from an observed trace at a known

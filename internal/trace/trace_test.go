@@ -69,25 +69,6 @@ func TestExponentialDiagnostic(t *testing.T) {
 	}
 }
 
-func TestWindows(t *testing.T) {
-	events := []failure.Event{
-		{Time: 0}, {Time: 30}, {Time: 50},
-		{Time: 10000},
-		{Time: 20000}, {Time: 20040},
-	}
-	ws := Windows(events, 60)
-	if ws.Clusters != 2 || ws.LargestSize != 3 || ws.EventsInside != 5 {
-		t.Errorf("window stats: %+v", ws)
-	}
-	if math.Abs(ws.FractionMulti-5.0/6.0) > 1e-12 {
-		t.Errorf("fraction = %g", ws.FractionMulti)
-	}
-	empty := Windows(nil, 60)
-	if empty.Clusters != 0 || empty.FractionMulti != 0 {
-		t.Errorf("empty stats: %+v", empty)
-	}
-}
-
 func TestEstimateRatesRoundTrip(t *testing.T) {
 	// Sample at half the baseline scale; rates at scale are halved, and
 	// the estimator must scale them back up.

@@ -414,15 +414,17 @@ func simulateObs(s Spec, plan Plan, opts SimOptions, rec obs.Recorder, track str
 		return Report{}, err
 	}
 	agg := sim.Summarize(results)
-	wcts := make([]float64, len(results))
-	for i, r := range results {
-		wcts[i] = r.WallClock
+	// The 95% confidence half-width of the mean wall clock under a normal
+	// approximation, 1.96·σ/√n; it needs two runs.
+	ci95 := math.NaN()
+	if n := agg.WallClock.Count; n >= 2 {
+		ci95 = 1.96 * agg.WallClock.StdDev / math.Sqrt(float64(n))
 	}
 	d := failure.SecondsPerDay
 	return Report{
 		Runs:              agg.Runs,
 		MeanWallClockDays: agg.WallClock.Mean / d,
-		CI95Days:          ci95(wcts) / d,
+		CI95Days:          ci95 / d,
 		ProductiveDays:    agg.Productive.Mean / d,
 		CheckpointDays:    agg.Checkpoint.Mean / d,
 		RestartDays:       agg.Restart.Mean / d,

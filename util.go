@@ -1,12 +1,5 @@
 package mlckpt
 
-import "mlckpt/internal/stats"
-
-// ci95 is the 95% confidence half-width of the mean of xs.
-func ci95(xs []float64) float64 {
-	return stats.CI95(xs)
-}
-
 // PaperSpec returns the Section IV evaluation problem as a Spec: the
 // workload in core-days, the exascale Table II cost models (level-4 PFS
 // cost saturating at 256Ki clients; see DESIGN.md), allocation period 60 s,
