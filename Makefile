@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race short fuzz golden bench bench-diff bench-smoke lint lint-fix-report allocgate-baseline
+.PHONY: build test race short fuzz golden lint lint-fix-report allocgate-baseline
 
 build:
 	$(GO) build ./...
@@ -84,30 +84,3 @@ fuzz:
 # reproduced paper results.
 golden:
 	$(GO) run ./cmd/experiments -no-progress all > docs_results_reference.txt
-
-# Benchmark snapshot: fixed -benchtime/-count so runs are comparable, the
-# text output archived as JSON (ns/op, B/op, allocs/op per benchmark) via
-# cmd/benchsnap. Commit BENCH_<date>.json to track baselines in git.
-BENCH_DATE := $(shell date +%Y-%m-%d)
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -count 1 ./... \
-		| tee /dev/stderr | $(GO) run ./cmd/benchsnap > BENCH_$(BENCH_DATE).json
-
-# Diff a fresh full benchmark run against the newest committed snapshot
-# (override with BENCH_BASE=BENCH_<date>.json). Exit 1 when any benchmark
-# regressed by more than BENCH_THRESHOLD percent in ns/op or allocs/op;
-# see docs/PERF.md for the workflow.
-BENCH_BASE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-BENCH_THRESHOLD ?= 50
-bench-diff:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -count 1 ./... \
-		| $(GO) run ./cmd/benchsnap -compare $(BENCH_BASE) -threshold $(BENCH_THRESHOLD)
-
-# CI benchmark smoke: only the erasure kernels and the core simulator
-# loop, with a deliberately generous threshold — shared CI runners are
-# noisy, so this gate catches order-of-magnitude regressions (a disabled
-# SIMD path, an allocation storm), not percent-level drift.
-bench-smoke:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEncode|BenchmarkReconstruct' -benchmem -benchtime 1x -count 1 ./internal/erasure/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSimulateRun$$' -benchmem -benchtime 1x -count 1 . ; } \
-		| $(GO) run ./cmd/benchsnap -compare $(BENCH_BASE) -threshold 900

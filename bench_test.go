@@ -210,21 +210,46 @@ func BenchmarkOptimizeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateRun measures one simulated execution.
-func BenchmarkSimulateRun(b *testing.B) {
+// simulateRunConfig is one Section IV execution (Te = 3M core-days,
+// 16-12-8-4, ±30% jitter) at the ML(opt-scale) plan.
+func simulateRunConfig(tb testing.TB) sim.Config {
 	sc := experiments.EvalScenario(3e6, "16-12-8-4")
 	p := sc.Params()
 	sol, err := core.MLOptScale.Solve(p, core.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cfg := sim.Config{Params: p, N: sol.N, X: sol.X, JitterRatio: 0.3}
+	return sim.Config{Params: p, N: sol.N, X: sol.X, JitterRatio: 0.3}
+}
+
+// BenchmarkSimulateRun measures one simulated execution.
+func BenchmarkSimulateRun(b *testing.B) {
+	cfg := simulateRunConfig(b)
 	rng := stats.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(cfg, rng.Split()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSimulateRunAllocs pins BenchmarkSimulateRun's exact allocation
+// count, whatever number of events a run plays: the run's RNG from Split
+// and sim.Run's six (the runner's float and int slabs, the failure
+// process with its per-level slab, and the checkpoint schedule's two
+// slabs). A value boxed or a slice grown per event changes the count,
+// which the static hot-path gates do not always see.
+func TestSimulateRunAllocs(t *testing.T) {
+	cfg := simulateRunConfig(t)
+	rng := stats.NewRNG(1)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sim.Run(cfg, rng.Split()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 7 {
+		t.Errorf("sim.Run allocates %.1f objects/op, want 7", allocs)
 	}
 }
 

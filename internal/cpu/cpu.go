@@ -1,5 +1,5 @@
 // Package cpu detects the host's SIMD capabilities so accelerated kernels
-// (the heat stencil, the bulk snapshot codecs) can pick a vector path at
+// (the heat stencil, the erasure codec) can pick a vector path at
 // startup. Detection is one-shot at init; the exported flags never change
 // afterwards, so hot loops can read them through a package-level bool
 // without synchronization.
@@ -19,4 +19,8 @@ var X86 struct {
 	// HasAVX2 reports VEX-encoded 256-bit integer and float vector
 	// support with OS-managed YMM state.
 	HasAVX2 bool
+	// HasGFNI reports the Galois-field affine instructions
+	// (VGF2P8AFFINEQB) with OS-managed YMM state, so their VEX-encoded
+	// 256-bit forms are usable.
+	HasGFNI bool
 }

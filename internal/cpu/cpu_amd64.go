@@ -23,6 +23,7 @@ func init() {
 	if xcr0&0x6 != 0x6 {
 		return
 	}
-	_, ebx7, _, _ := cpuid(7, 0)
+	_, ebx7, ecx7, _ := cpuid(7, 0)
 	X86.HasAVX2 = ebx7&(1<<5) != 0
+	X86.HasGFNI = ecx7&(1<<8) != 0
 }

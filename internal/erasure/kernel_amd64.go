@@ -2,6 +2,8 @@
 
 package erasure
 
+import "mlckpt/internal/cpu"
+
 // AVX2 entry points implemented in kernel_amd64.s. Each requires n > 0
 // and n ≡ 0 (mod 32); the dispatch in kernel.go guarantees that and
 // finishes tails with the portable word-lane kernels.
@@ -21,46 +23,15 @@ func gfMul4SetGFNI(tabs *mulTable, src0, src1, src2, src3, dst *byte, n int)
 //go:noescape
 func gfMul4XorGFNI(tabs *mulTable, src0, src1, src2, src3, dst *byte, n int)
 
-func cpuidex(op, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv0() (eax, edx uint32)
-
-// hasAVX2 gates the assembly fast path: AVX2 in CPUID and YMM state
-// enabled by the OS (OSXSAVE + XCR0 xmm/ymm bits). Kernel outputs are
-// byte-identical with and without it — only throughput differs — so the
-// differential tests in kernel_test.go cover whichever path the host
-// runs.
-var hasAVX2 = detectAVX2()
+// hasAVX2 gates the assembly fast path (cpu.X86.HasAVX2: AVX2 with
+// OS-enabled YMM state). Kernel outputs are byte-identical with and
+// without it — only throughput differs — so the differential tests in
+// kernel_test.go cover whichever path the host runs. It is a variable,
+// not a constant, so tests can force the portable path.
+var hasAVX2 = cpu.X86.HasAVX2
 
 // hasGFNI additionally gates the fused four-source kernels: GFNI with
-// the VEX (256-bit) encoding, which requires AVX2 support as well. The
-// fused drivers fall back to the single-source AVX2 kernels for
-// leftover matrix cells, so hasGFNI must imply hasAVX2.
-var hasGFNI = hasAVX2 && detectGFNI()
-
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuidex(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	if xlo, _ := xgetbv0(); xlo&6 != 6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuidex(7, 0)
-	return ebx7&(1<<5) != 0
-}
-
-func detectGFNI() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx7, _ := cpuidex(7, 0)
-	return ecx7&(1<<8) != 0
-}
+// the VEX (256-bit) encoding. The fused drivers fall back to the
+// single-source AVX2 kernels for leftover matrix cells, so hasGFNI must
+// imply hasAVX2.
+var hasGFNI = hasAVX2 && cpu.X86.HasGFNI

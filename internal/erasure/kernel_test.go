@@ -239,6 +239,58 @@ func TestEncodeIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestEncodeSteadyStateAllocs pins Encode's exact allocation count on the
+// single-goroutine path: the parity slice and the one backing array its
+// shards share, on top of the allocation-free EncodeInto.
+func TestEncodeSteadyStateAllocs(t *testing.T) {
+	c, err := New(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.workers = 1
+	data := makeShards(8, 4096, 7)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.Encode(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("Encode allocates %.1f objects/op, want 2", allocs)
+	}
+}
+
+// TestReconstructSteadyStateAllocs pins Reconstruct's exact allocation
+// count on the single-goroutine path, for BenchmarkReconstruct's pattern:
+// 8+2 shards with data shards 1 and 5 lost. The 32 objects are the decode
+// system (the picked generator rows and the Gauss–Jordan work matrix),
+// the two rebuilt shards with their multiplication tables, and the
+// growing slices that collect them, the arena's included; none scales
+// with the shard size.
+func TestReconstructSteadyStateAllocs(t *testing.T) {
+	c, err := New(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.workers = 1
+	data := makeShards(8, 4096, 7)
+	parity, err := c.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := append(append([][]byte{}, data...), parity...)
+	shards := make([][]byte, len(full))
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(shards, full)
+		shards[1], shards[5] = nil, nil
+		if err := c.Reconstruct(shards); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 32 {
+		t.Errorf("Reconstruct allocates %.1f objects/op, want 32", allocs)
+	}
+}
+
 func TestEncodeIntoShapeErrors(t *testing.T) {
 	c, err := New(4, 2)
 	if err != nil {

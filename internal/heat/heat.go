@@ -34,11 +34,6 @@ type Config struct {
 	TopTemp      float64 // fixed temperature of the top boundary (heat source)
 }
 
-// DefaultConfig is a small, fast problem for tests and examples.
-func DefaultConfig() Config {
-	return Config{GridX: 64, GridY: 64, Iterations: 50, CellTime: 5e-9, TopTemp: 100}
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.GridX < 3 || c.GridY < 3 {

@@ -10,6 +10,11 @@ import (
 	"mlckpt/internal/mpisim"
 )
 
+// DefaultConfig is a small, fast problem.
+func DefaultConfig() Config {
+	return Config{GridX: 64, GridY: 64, Iterations: 50, CellTime: 5e-9, TopTemp: 100}
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default invalid: %v", err)

@@ -10,11 +10,12 @@ import (
 // hotpath checks functions annotated //mlckpt:hotpath for allocation
 // idioms. These are the proven zero-steady-state-allocation surfaces —
 // the erasure encode/reconstruct kernels, the mpisim event-loop step and
-// Allreduce, the eventq heap, the sim.Run slab path — whose benchmark
-// wins (PR 5/7) were previously guarded only by a 900% bench-smoke
-// tripwire. The annotation makes the contract explicit, this analyzer
-// rejects the idioms that allocate by construction, and cmd/allocgate
-// pins the compiler's actual escape analysis (see docs/LINT.md).
+// Allreduce, the eventq heap, the sim.Run slab path. The annotation
+// makes the contract explicit, this analyzer rejects the idioms that
+// allocate by construction, cmd/allocgate pins the compiler's actual
+// escape analysis (see docs/LINT.md), and exact testing.AllocsPerRun
+// pins catch what slips past both. Boxing by assignment to an interface
+// variable is one idiom this analyzer does not flag.
 //
 // Rules, tuned to the difference between setup cost and per-element
 // cost:

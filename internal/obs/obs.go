@@ -38,7 +38,9 @@ package obs
 // Span/Instant append events to the virtual-time trace. The track names a
 // timeline (one writer at a time appends to a given track) and must be
 // derived from the work's content — a cache key, a scenario label — never
-// from which worker happened to execute it.
+// from which worker happened to execute it. An args map is handed over
+// with the call: the recorder may keep it, so the caller builds a fresh
+// map per event and never changes it afterwards.
 type Recorder interface {
 	// Count adds delta to the named deterministic counter.
 	Count(name string, delta int64)

@@ -135,13 +135,21 @@ func TestNopRecorderIsInert(t *testing.T) {
 // metricsRejects are documents ValidateMetricsJSON must refuse.
 // FuzzValidateMetricsJSON seeds its corpus with them.
 var metricsRejects = map[string]string{
-	"not json":      "{",
-	"wrong schema":  `{"schema":"other/v9","captured_unix_ns":0,"metrics":[],"volatile":[]}`,
-	"unsorted":      `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"b","type":"counter"},{"name":"a","type":"counter"}],"volatile":[]}`,
-	"unknown type":  `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"widget"}],"volatile":[]}`,
-	"unknown field": `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[],"volatile":[],"extra":1}`,
-	"bad buckets":   `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"histogram","count":3,"buckets":[{"le":1,"n":1}]}],"volatile":[]}`,
-	"trailing data": `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[],"volatile":[]}x`,
+	"not json":                      "{",
+	"wrong schema":                  `{"schema":"other/v9","captured_unix_ns":0,"metrics":[],"volatile":[]}`,
+	"unsorted":                      `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"b","type":"counter"},{"name":"a","type":"counter"}],"volatile":[]}`,
+	"unknown type":                  `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"widget"}],"volatile":[]}`,
+	"unknown field":                 `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[],"volatile":[],"extra":1}`,
+	"bad buckets":                   `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"histogram","count":3,"buckets":[{"le":1,"n":1}]}],"volatile":[]}`,
+	"trailing data":                 `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[],"volatile":[]}x`,
+	"negative count":                `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"histogram","count":-1,"overflow":-1}],"volatile":[]}`,
+	"negative overflow":             `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"histogram","count":1,"min":1,"max":1,"buckets":[{"le":1,"n":2}],"overflow":-1}],"volatile":[]}`,
+	"wrapped bucket sum":            `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"histogram","count":9223372036854775805,"buckets":[{"le":1,"n":9223372036854775807},{"le":2,"n":9223372036854775807},{"le":5,"n":9223372036854775807}]}],"volatile":[]}`,
+	"counter with histogram fields": `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"counter","value":1,"count":1,"overflow":1}],"volatile":[]}`,
+	"gauge with buckets":            `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[],"volatile":[{"name":"a","type":"gauge","gauge":1.5,"buckets":[{"le":1,"n":1}]}]}`,
+	"counter with gauge":            `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"counter","value":1,"gauge":2}],"volatile":[]}`,
+	"histogram with value":          `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"histogram","value":3}],"volatile":[]}`,
+	"empty histogram with min":      `{"schema":"mlckpt.metrics/v1","captured_unix_ns":0,"metrics":[{"name":"a","type":"histogram","min":1,"max":2}],"volatile":[]}`,
 }
 
 func TestValidateMetricsRejectsGarbage(t *testing.T) {

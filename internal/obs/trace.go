@@ -45,21 +45,22 @@ func NewTrace() *Trace {
 	return &Trace{tracks: map[string][]traceEvent{}}
 }
 
+// add buffers one event. It keeps args, which the caller hands over (see
+// Recorder), dropping its non-finite values in place.
 func (t *Trace) add(track, name, phase string, ts, dur float64, args map[string]float64) {
 	if math.IsNaN(ts) || math.IsInf(ts, 0) || math.IsNaN(dur) || math.IsInf(dur, 0) {
 		return
 	}
-	var copied map[string]float64
-	if len(args) > 0 {
-		copied = make(map[string]float64, len(args))
-		for k, v := range args {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				copied[k] = v
-			}
+	if len(args) == 0 {
+		args = nil
+	}
+	for k, v := range args {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			delete(args, k)
 		}
 	}
 	t.mu.Lock()
-	t.tracks[track] = append(t.tracks[track], traceEvent{name: name, phase: phase, ts: ts, dur: dur, args: copied})
+	t.tracks[track] = append(t.tracks[track], traceEvent{name: name, phase: phase, ts: ts, dur: dur, args: args})
 	t.mu.Unlock()
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mlckpt/internal/obs"
-	"mlckpt/internal/stats"
 	"mlckpt/internal/sweep"
 )
 
@@ -91,24 +90,13 @@ func Sweep(jobs []SweepJob, opts SweepOptions) []SweepOutcome {
 		outcomes[i] = SweepOutcome{Name: name, Policy: job.Policy}
 
 		// Non-marshalable specs (NaN workloads etc.) cannot be cached or
-		// seeded by content; solve uncached and derive the seed from the
-		// job name instead. Optimize will reject the spec with a proper
-		// error.
+		// seeded by content; solve uncached, and the engine derives a zero
+		// Sim.Seed from the job name instead of the keys. Optimize will
+		// reject the spec with a proper error.
 		solveKey, keyErr := sweep.Key("mlckpt.Optimize", job.Spec, string(job.Policy))
 		var postKey string
-		var seed uint64
-		if job.Sim != nil {
-			seed = job.Sim.Seed
-			if keyErr == nil {
-				postKey, keyErr = sweep.Key("mlckpt.Simulate", job.Spec, string(job.Policy), *job.Sim)
-			}
-			if seed == 0 {
-				if keyErr == nil {
-					seed = stats.DeriveSeed(root, postKey)
-				} else {
-					seed = stats.DeriveSeed(root, name)
-				}
-			}
+		if job.Sim != nil && keyErr == nil {
+			postKey, keyErr = sweep.Key("mlckpt.Simulate", job.Spec, string(job.Policy), *job.Sim)
 		}
 		if keyErr != nil {
 			solveKey, postKey = "", ""
@@ -139,9 +127,8 @@ func Sweep(jobs []SweepJob, opts SweepOptions) []SweepOutcome {
 		}
 		if job.Sim != nil {
 			simOpts := *job.Sim
-			simOpts.Seed = seed
 			ej.PostKey = postKey
-			ej.Seed = seed
+			ej.Seed = job.Sim.Seed
 			ej.Post = func(solved any, seed uint64) (any, error) {
 				simOpts.Seed = seed
 				report, err := simulateObs(job.Spec, solved.(Plan), simOpts, opts.Obs, simTrack)
