@@ -11,9 +11,10 @@ build:
 # in model packages, no order-sensitive map iteration, no exact float
 # equality outside tests, no unsynchronized captured writes from
 # loop-launched goroutines — plus the module-wide checks: seed provenance
-# (seedflow), fiber-blocking reachability (batonblock), and hot-path
-# allocation idioms (hotpath). allocgate is the compiler-verified half of
-# the //mlckpt:hotpath contract (escape analysis vs allocgate.baseline).
+# (seedflow) and fiber-blocking reachability (batonblock). allocgate holds
+# every //mlckpt:hotpath function to its compiler escape verdicts
+# (allocgate.baseline); an exact allocation pin per function in the suite
+# counts what it allocates at run time (docs/LINT.md).
 # The gofmt gate lists tracked files only, so build and benchmark
 # leftovers (perfbench/.cache) stay out of it.
 test:
@@ -24,7 +25,7 @@ test:
 	$(GO) run ./cmd/allocgate
 	$(GO) test ./...
 
-# The full static-analysis gate: all seven analyzers, then the escape-
+# The full static-analysis gate: all six analyzers, then the escape-
 # analysis baseline check (file:line diagnostics, exit 1 on findings).
 lint:
 	$(GO) run ./cmd/mlckptlint ./...

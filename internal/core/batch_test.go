@@ -296,3 +296,21 @@ func TestOptimizeSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Optimize allocates %.0f times per solve; want ≤ 50 (seed was 1675)", avg)
 	}
 }
+
+// TestMuIntoZeroAlloc pins the scale search's μ refill at zero
+// allocations; TestOptimizeSteadyStateAllocs above only bounds the solve
+// it runs in.
+func TestMuIntoZeroAlloc(t *testing.T) {
+	b := []float64{3e-6, 2e-6, 1e-6, 5e-7}
+	mu := make([]float64, len(b))
+	n := 1e5
+	if avg := testing.AllocsPerRun(100, func() {
+		n++
+		muInto(mu, b, n)
+	}); avg != 0 {
+		t.Errorf("muInto allocates %.1f times per call", avg)
+	}
+	if want := b[3] * n; mu[3] != want {
+		t.Errorf("mu[3] = %g, want %g", mu[3], want)
+	}
+}

@@ -58,15 +58,25 @@ func TestCodecWireFormat(t *testing.T) {
 	}
 }
 
-// TestCodecZeroAlloc pins the codecs' zero-allocation contract.
+// TestCodecZeroAlloc pins the codecs' zero-allocation contract, for the
+// build's codecs and the portable ones.
 func TestCodecZeroAlloc(t *testing.T) {
 	src := randRow(rand.New(rand.NewSource(11)), 512)
 	buf := make([]byte, 8*len(src))
 	dst := make([]float64, len(src))
-	if avg := testing.AllocsPerRun(50, func() {
-		PutFloat64s(buf, src)
-		GetFloat64s(dst, buf)
-	}); avg != 0 {
-		t.Errorf("codec allocates %.1f times per call pair", avg)
+	for _, c := range []struct {
+		name string
+		put  func([]byte, []float64)
+		get  func([]float64, []byte)
+	}{
+		{"build", PutFloat64s, GetFloat64s},
+		{"generic", PutFloat64sGeneric, GetFloat64sGeneric},
+	} {
+		if avg := testing.AllocsPerRun(50, func() {
+			c.put(buf, src)
+			c.get(dst, buf)
+		}); avg != 0 {
+			t.Errorf("%s codec allocates %.1f times per call pair", c.name, avg)
+		}
 	}
 }

@@ -198,13 +198,13 @@ func (c *Code) ReconstructInto(shards [][]byte, arena *Arena) error {
 		if shards[i] == nil {
 			continue
 		}
+		// Decode-matrix setup, O(K²) bytes once per call; the generator
+		// row is copied because invertMatrix mutates it.
 		var row []byte
 		if i < c.K {
-			//lint:allow hotpath per-reconstruct decode-matrix setup, O(K^2) bytes once per call, not per byte; the striped mulRows pass dominates
 			row = make([]byte, c.K)
 			row[i] = 1
 		} else {
-			//lint:allow hotpath per-reconstruct decode-matrix setup; the generator row must be copied because invertMatrix mutates it
 			row = append([]byte(nil), c.matrix[i-c.K]...)
 		}
 		rows = append(rows, row)

@@ -93,3 +93,28 @@ func TestQueueMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueSteadyStateAllocs pins Push and Pop at zero allocations once a
+// warm-up fill has grown the heap: a queue that holds at most n items
+// reuses its backing array however many items pass through it.
+func TestQueueSteadyStateAllocs(t *testing.T) {
+	const n = 64
+	var q Queue
+	for i := 0; i < n; i++ {
+		q.Push(float64(i), int64(i))
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < n; i++ {
+			q.Push(float64(i*37%n), int64(i)) // out of order: up moves items
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d pushes and pops allocate %.1f times, want 0", n, allocs)
+	}
+}

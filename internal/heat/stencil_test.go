@@ -115,17 +115,26 @@ func TestStencilRowFallback(t *testing.T) {
 	}
 }
 
-// TestStencilRowZeroAlloc pins the kernels' zero-allocation contract.
+// TestStencilRowZeroAlloc pins the kernels' zero-allocation contract:
+// the dispatching row kernel and the portable one.
 func TestStencilRowZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 510
 	up, down := randRow(rng, n), randRow(rng, n)
 	left, right, center := randRow(rng, n), randRow(rng, n), randRow(rng, n)
 	dst := make([]float64, n)
-	if avg := testing.AllocsPerRun(50, func() {
-		stencilRow(dst, up, down, left, right, center)
-	}); avg != 0 {
-		t.Errorf("stencilRow allocates %.1f times per row", avg)
+	for _, k := range []struct {
+		name string
+		row  func(dst, up, down, left, right, center []float64) float64
+	}{
+		{"stencilRow", stencilRow},
+		{"stencilRowGeneric", stencilRowGeneric},
+	} {
+		if avg := testing.AllocsPerRun(50, func() {
+			k.row(dst, up, down, left, right, center)
+		}); avg != 0 {
+			t.Errorf("%s allocates %.1f times per row", k.name, avg)
+		}
 	}
 }
 

@@ -5,15 +5,15 @@ import (
 	"strings"
 )
 
-// Machine-checked source annotations. The linter's module-wide analyzers
-// are driven by three //mlckpt: markers placed in a function's doc
-// comment (see docs/LINT.md for the full contract):
+// Machine-checked source annotations. Three //mlckpt: markers, placed in
+// a function declaration's doc comment, drive the gates that read them
+// (see docs/LINT.md for the full contract):
 //
 //	//mlckpt:hotpath
-//	    The function is a proven zero-steady-state-allocation surface.
-//	    The hotpath analyzer checks its body for allocation idioms and
-//	    cmd/allocgate pins its compiler escape diagnostics to
-//	    allocgate.baseline.
+//	    cmd/allocgate gates the function: a heap escape the compiler
+//	    reports inside it that allocgate.baseline does not list fails
+//	    the build. An exact testing.AllocsPerRun pin per function counts
+//	    its run-time allocations; lint only checks the marker's place.
 //
 //	//mlckpt:fiber
 //	    The function runs as a cooperative continuation (an event-engine
@@ -25,9 +25,10 @@ import (
 //	    baton handoff itself. batonblock does not descend into it. The
 //	    reason is mandatory, like //lint:allow.
 //
-// Unknown //mlckpt: markers and reasonless baton markers are reported
-// under the "lintdirective" pseudo-check so a typo cannot silently
-// disable a gate.
+// Unknown //mlckpt: markers, reasonless baton markers and markers outside
+// a func declaration's doc comment are reported under the "lintdirective"
+// pseudo-check, so a typo or an edit that detaches a marker from its
+// function cannot silently disable a gate.
 
 const (
 	markerHotpath = "hotpath"
@@ -37,7 +38,6 @@ const (
 
 // funcMarks is the parsed annotation state of one function declaration.
 type funcMarks struct {
-	hotpath     bool
 	fiber       bool
 	baton       bool
 	batonReason string
@@ -64,7 +64,7 @@ func parseFuncMarks(u *Unit, decl *ast.FuncDecl) (funcMarks, []Finding) {
 		}
 		switch fields[0] {
 		case markerHotpath:
-			marks.hotpath = true
+			// Read by cmd/allocgate; nothing here depends on it.
 		case markerFiber:
 			marks.fiber = true
 		case markerBaton:
@@ -79,4 +79,31 @@ func parseFuncMarks(u *Unit, decl *ast.FuncDecl) (funcMarks, []Finding) {
 		}
 	}
 	return marks, bad
+}
+
+// detachedMarkers reports every //mlckpt: comment in file that is not in
+// a func declaration's doc comment. Both readers of the markers, allocgate
+// and the call graph, look only there, so a marker anywhere else gates
+// nothing: a declaration inserted between a func's doc comment and the
+// func takes the comment over, and the func leaves its gate silently.
+func detachedMarkers(u *Unit, file *ast.File) []Finding {
+	docs := map[*ast.CommentGroup]bool{}
+	for _, decl := range file.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+			docs[fd.Doc] = true
+		}
+	}
+	var bad []Finding
+	for _, cg := range file.Comments {
+		if docs[cg] {
+			continue
+		}
+		for _, c := range cg.List {
+			if strings.HasPrefix(c.Text, "//mlckpt:") {
+				bad = append(bad, directiveFinding(u.Fset.Position(c.Pos()),
+					"//mlckpt: marker outside a func declaration's doc comment gates nothing; put it directly above its func"))
+			}
+		}
+	}
+	return bad
 }

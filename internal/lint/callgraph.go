@@ -12,8 +12,7 @@ import (
 // This file is the module-wide analysis substrate: a lightweight
 // intra-module call graph plus one summary per function, built on the
 // same stdlib-only go/types loader the per-unit analyzers use. The
-// interprocedural analyzers (batonblock, seedflow) and the hotpath
-// annotation contract all consume it.
+// interprocedural analyzers (batonblock, seedflow) consume it.
 //
 // Two properties shape the design:
 //
@@ -101,8 +100,8 @@ type Graph struct {
 	// fan-out.
 	methodIndex map[string][]string
 
-	// directiveFindings are malformed //mlckpt: markers discovered while
-	// building the graph.
+	// directiveFindings are malformed or detached //mlckpt: markers
+	// discovered while building the graph.
 	directiveFindings []Finding
 }
 
@@ -200,6 +199,7 @@ func BuildGraph(units []*Unit) *Graph {
 	}
 	for _, u := range units {
 		for _, file := range u.Files {
+			g.directiveFindings = append(g.directiveFindings, detachedMarkers(u, file)...)
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {

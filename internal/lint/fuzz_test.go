@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzLintNeverPanics drives the full analyzer suite — per-unit checks,
-// graph construction, and the three module-wide analyzers — over
+// graph construction, and the two module-wide analyzers — over
 // arbitrary parseable Go source. The contract under test: whatever the
 // type checker manages or fails to infer (fuzzed inputs routinely carry
 // type errors, unresolved imports, and half-formed markers), Run must
@@ -52,19 +52,24 @@ func malformed() {}
 //mlckpt:unknown
 func unknown() {}
 `,
-		// Hot-path idioms, closures, go statements.
+		// Detached markers, closures, go statements.
 		`package erasure
 
+// Hot is the doc comment a var took over.
 //mlckpt:hotpath
+var sink int
+
 func Hot(n int, xs []int) {
+	//mlckpt:fiber
 	for i := 0; i < n; i++ {
-		buf := make([]int, 1)
-		xs = append(xs, buf[0])
+		xs = append(xs, i)
 		go func() { _ = i }()
 	}
-	//lint:allow hotpath reason
+	//lint:allow floateq reason
 	_ = map[int]int{}
 }
+
+//mlckpt:hotpath
 `,
 		// Seed conduits, helpers, index tracing.
 		`package sim

@@ -11,15 +11,9 @@ import (
 type parents map[ast.Node]ast.Node
 
 func newParents(file *ast.File) parents {
-	return newParentsOf(file)
-}
-
-// newParentsOf builds the parent map for an arbitrary subtree (used by
-// hotpath, which only needs one function body at a time).
-func newParentsOf(root ast.Node) parents {
 	p := parents{}
 	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
+	ast.Inspect(file, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
 			return false

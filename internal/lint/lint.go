@@ -19,6 +19,16 @@
 //   - goroutine-capture: a goroutine launched in a loop that writes a
 //     captured shared variable without synchronization is the exact
 //     shape of the PR-2 heat-test race.
+//   - seedflow and batonblock, module-wide over the call graph: every
+//     RNG seed in a model package derives from an approved source, and
+//     no blocking operation is reachable from an //mlckpt:fiber entry
+//     point outside the //mlckpt:baton hand-offs.
+//
+// The zero-allocation contract of //mlckpt:hotpath functions is not an
+// analyzer's: cmd/allocgate gates their compiler escape verdicts, and an
+// exact testing.AllocsPerRun pin per function counts what they allocate
+// at run time (docs/LINT.md). This package only checks that the marker
+// sits where allocgate reads it.
 //
 // Everything here is stdlib-only (go/ast, go/parser, go/types, go/build)
 // so the linter runs in the tier-1 gate with no module downloads. Findings
@@ -93,7 +103,6 @@ func Analyzers() []*Analyzer {
 		GoroutineCaptureAnalyzer(),
 		SeedFlowAnalyzer(),
 		BatonBlockAnalyzer(),
-		HotPathAnalyzer(),
 	}
 }
 

@@ -130,7 +130,7 @@ func b() int64 { return time.Now().Unix() }
 }
 
 func TestAnalyzerNames(t *testing.T) {
-	want := []string{"nondeterminism", "maporder", "floateq", "goroutine-capture", "seedflow", "batonblock", "hotpath"}
+	want := []string{"nondeterminism", "maporder", "floateq", "goroutine-capture", "seedflow", "batonblock"}
 	got := AnalyzerNames()
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)

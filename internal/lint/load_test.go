@@ -112,32 +112,6 @@ func Await(ch chan struct{}) {
 	park(ch)
 }
 `,
-		// Defect 7: a per-iteration allocation inside an //mlckpt:hotpath
-		// function. The sibling shows the exempt idiom — boxing on a
-		// cold panic exit does not count against the hot path.
-		"internal/heat/hot.go": `package heat
-
-import "fmt"
-
-//mlckpt:hotpath
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		buf := make([]float64, 1)
-		buf[0] = x
-		s += buf[0]
-	}
-	return s
-}
-
-//mlckpt:hotpath
-func First(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(fmt.Sprintf("empty input of width %d", len(xs)))
-	}
-	return xs[0]
-}
-`,
 		// Regression (span-scoped //lint:allow): the directive sits on a
 		// wrapped statement whose second comparison lands two lines below
 		// it — line-based matching missed that; span adoption must not.
@@ -204,7 +178,6 @@ func TestMean(t *testing.T) {
 		"goroutine-capture": "internal/sweep/pool.go:7",
 		"seedflow":          "internal/sim/seed.go:10",
 		"batonblock":        "internal/mpisim/fiber.go:11",
-		"hotpath":           "internal/heat/hot.go:9",
 	}
 	if len(findings) != len(want) {
 		t.Fatalf("got %d findings, want %d: %v", len(findings), len(want), findings)

@@ -68,7 +68,9 @@ func randomRefX(g *stats.RNG, x []float64, i int) float64 {
 // of its level's period, and class i expects under 0.4 failures between
 // two restore points that cover it. Without that bound a class with no
 // covering checkpoint rolls back to scratch at an exponential rate and
-// only the 80,000-day horizon ends the run.
+// only the 80,000-day horizon ends the run. One draw in 25 with failures
+// overloads recovery instead: a recovery almost never completes, and a
+// horizon of a few P ends the run inside the recovery loop.
 func randomRefConfig(g *stats.RNG) Config {
 	L := 1 + g.Intn(5)
 	n := logUniform(g, 50, 5e4)
@@ -116,12 +118,19 @@ func randomRefConfig(g *stats.RNG) Config {
 	}
 	// A failure during recovery restarts it, so a recovery completes with
 	// probability e^−load at recovery load λ·(A + R), and a high load
-	// multiplies the events per run. Keep it under 0.3.
+	// multiplies the events per run. Keep it under 0.3, or overload it:
+	// an allocation period alone of 3 to 30 mean interarrivals.
 	maxRec := 0.0
 	for _, lv := range levels {
 		maxRec = math.Max(maxRec, 1.5*lv.Recovery.At(n)) // 1.5: the jitter ceiling
 	}
-	if load := p.Rates.TotalPerSecondAt(n) * (p.Alloc + maxRec); load > 0.3 {
+	total := p.Rates.TotalPerSecondAt(n)
+	load := total * (p.Alloc + maxRec)
+	overload := load > 0 && g.Intn(25) == 0
+	switch {
+	case overload:
+		p.Alloc = logUniform(g, 3, 30) / total
+	case load > 0.3:
 		for i := range perDay {
 			perDay[i] *= 0.3 / load
 		}
@@ -141,6 +150,9 @@ func randomRefConfig(g *stats.RNG) Config {
 		cfg.MaxWallClock = P * g.Uniform(0.2, 1.5) // often truncates
 	case 1:
 		cfg.MaxWallClock = P * 50
+	}
+	if overload {
+		cfg.MaxWallClock = P * g.Uniform(0.5, 3)
 	}
 	if g.Intn(3) == 0 {
 		cfg.CorrelationWindow = g.Uniform(0, 0.03*P)
@@ -280,9 +292,10 @@ func diffResult(got, want Result) string {
 
 // TestRunMatchesReference is the differential gate for the bound runner:
 // Run against runRef, the closure-based loop it replaced, over random
-// configurations reaching every Config feature. Everything must match bit
-// for bit — results, the RNG stream after the run and the telemetry both
-// emit, which in over half the trials is the run's whole trace track.
+// configurations reaching every Config feature, runs truncated inside a
+// recovery included. Everything must match bit for bit — results, the RNG
+// stream after the run and the telemetry both emit, which in over half
+// the trials is the run's whole trace track.
 func TestRunMatchesReference(t *testing.T) {
 	trials := 3000
 	if testing.Short() {

@@ -220,8 +220,12 @@ func runRef(cfg Config, rng *stats.RNG) (Result, error) {
 				}
 			}
 		}
-		// Allocation + recovery, restarting on failures inside the window.
+		// Allocation + recovery, restarting on failures inside the window,
+		// until the wall clock passes the horizon.
 		for {
+			if wall > maxWall {
+				return
+			}
 			dur := p.Alloc
 			if restoreLvl >= 0 {
 				dur += rng.Jitter(p.Levels[restoreLvl].Recovery.At(n), cfg.JitterRatio)

@@ -55,8 +55,9 @@ type Config struct {
 
 	// MaxWallClock truncates pathological runs (e.g. single-level
 	// checkpointing at full scale under high failure rates, where expected
-	// completion time is years). Zero means 20x the analytic-model-free
-	// bound of 4000 days.
+	// completion time is years). Zero or negative means 20x the
+	// analytic-model-free bound of 4000 days. NaN and ±Inf are invalid:
+	// the horizon is what ends a run that cannot complete.
 	MaxWallClock float64
 
 	// CorrelationWindow, when positive, merges failures of class ≤ c that
@@ -114,8 +115,13 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("%w: x_%d = %g", ErrConfig, i+1, x)
 		}
 	}
-	if c.JitterRatio < 0 || c.JitterRatio >= 1 {
+	if !(c.JitterRatio >= 0 && c.JitterRatio < 1) {
 		return fmt.Errorf("%w: jitter ratio %g", ErrConfig, c.JitterRatio)
+	}
+	// No compare with a NaN horizon is ever true, and none with +Inf is,
+	// so either would turn truncation off.
+	if math.IsNaN(c.MaxWallClock) || math.IsInf(c.MaxWallClock, 0) {
+		return fmt.Errorf("%w: MaxWallClock %g", ErrConfig, c.MaxWallClock)
 	}
 	// A NaN rate or a NaN Weibull shape makes a class's arrivals NaN,
 	// and a shape ≤ 0 or a negative rate makes them +Inf: a class that
@@ -131,7 +137,27 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("%w: failure rate of level %d at N=%g is %g", ErrConfig, i+1, c.N, rate)
 		}
 	}
+	// Failures carry the wall clock to the horizon, where Run ends, only
+	// if the clock resolves their spacing there: at a mean interarrival
+	// 1/Σλ_i(N) at or below ulp(horizon), arrivals round to the current
+	// time and the clock stands still. Above it, a run sees about
+	// Σλ_i(N)·horizon failures before the horizon, fewer than
+	// horizon/ulp(horizon) < 2^53.
+	h := c.horizon()
+	ulp := math.Nextafter(h, math.Inf(1)) - h
+	if total := c.Params.Rates.TotalPerSecondAt(c.N); !(total*ulp < 1) {
+		return fmt.Errorf("%w: total failure rate %g/s at N=%g is past the clock's resolution at the %g s horizon",
+			ErrConfig, total, c.N, h)
+	}
 	return nil
+}
+
+// horizon returns the wall clock past which a run truncates.
+func (c *Config) horizon() float64 {
+	if c.MaxWallClock > 0 {
+		return c.MaxWallClock
+	}
+	return 4000 * failure.SecondsPerDay * 20
 }
 
 // Result is the outcome of one simulated run. The four time portions are
@@ -241,11 +267,7 @@ func (r *runner) bind(cfg Config, rng *stats.RNG) error {
 	p := cfg.Params
 	L := p.L()
 	n := cfg.N
-	maxWall := cfg.MaxWallClock
-	if maxWall <= 0 {
-		maxWall = 4000 * failure.SecondsPerDay * 20
-	}
-	r.cfg, r.rng, r.L, r.P, r.maxWall = cfg, rng, L, P, maxWall
+	r.cfg, r.rng, r.L, r.P, r.maxWall = cfg, rng, L, P, cfg.horizon()
 
 	// Per-level constants and state live in two slabs (one float64, one
 	// int) instead of separate slices: sweeps run this function millions
@@ -514,8 +536,14 @@ func (r *runner) handleFailure(c int) {
 			}
 		}
 	}
-	// Allocation + recovery, restarting on failures inside the window.
+	// Allocation + recovery, restarting on failures inside the window,
+	// until the wall clock passes the horizon: at a recovery load
+	// λ·(A + R) ≫ 1 an attempt almost never completes, and the main loop
+	// then reports the run as truncated.
 	for {
+		if r.wall > r.maxWall {
+			return
+		}
 		dur := r.cfg.Params.Alloc
 		if restoreLvl >= 0 {
 			dur += r.rng.Jitter(r.recCost[restoreLvl], r.cfg.JitterRatio)

@@ -53,10 +53,19 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); !errors.Is(err, ErrConfig) {
 		t.Errorf("x<1: %v", err)
 	}
-	bad = good
-	bad.JitterRatio = 1.5
-	if err := bad.Validate(); !errors.Is(err, ErrConfig) {
-		t.Errorf("jitter: %v", err)
+	for _, jitter := range []float64{1.5, -0.1, math.NaN()} {
+		bad = good
+		bad.JitterRatio = jitter
+		if err := bad.Validate(); !errors.Is(err, ErrConfig) {
+			t.Errorf("jitter %g: %v", jitter, err)
+		}
+	}
+	for _, horizon := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = good
+		bad.MaxWallClock = horizon
+		if err := bad.Validate(); !errors.Is(err, ErrConfig) {
+			t.Errorf("MaxWallClock %g: %v", horizon, err)
+		}
 	}
 	var nilCfg Config
 	if err := nilCfg.Validate(); !errors.Is(err, ErrConfig) {
@@ -93,6 +102,8 @@ func TestValidateRejectsDegenerateArrivals(t *testing.T) {
 		{PerDay: []float64{4, 3, 2, math.MaxFloat64}, Baseline: 1e-300}, // overflows to +Inf
 		{PerDay: []float64{4, -3, 2, 1}, Baseline: 1e4},
 		{PerDay: []float64{4, 3, 2, 1}, Baseline: -1e4},
+		// Finite, but arrivals 1e-25 s apart: the clock stops at once.
+		{PerDay: []float64{1e30, 3, 2, 1}, Baseline: 1e4},
 	} {
 		cfg := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
 		cfg.Params.Rates = rates
@@ -102,6 +113,52 @@ func TestValidateRejectsDegenerateArrivals(t *testing.T) {
 		if _, err := RunMany(cfg, 2, 1); !errors.Is(err, ErrConfig) {
 			t.Errorf("RunMany, rates %v: %v", rates, err)
 		}
+	}
+}
+
+// TestValidateRejectsRatesPastClockResolution pins the rule's edge: the
+// total rate must stay below 1/ulp(horizon), the clock's resolution where
+// the run would truncate, for the default horizon and a set one.
+func TestValidateRejectsRatesPastClockResolution(t *testing.T) {
+	for _, horizon := range []float64{0, 1e4} {
+		cfg := testConfig("0-0-0-0", 5000, []float64{40, 20, 10, 5})
+		cfg.MaxWallClock = horizon
+		h := cfg.horizon()
+		ulp := math.Nextafter(h, math.Inf(1)) - h
+		// PerDay 1 at N = 5000 and baseline 1e4 is 0.5/86400 per second.
+		perDayAt := func(total float64) float64 { return total * failure.SecondsPerDay * 2 }
+		cfg.Params.Rates.PerDay[0] = perDayAt(1 / ulp)
+		if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
+			t.Errorf("horizon %g: total rate 1/ulp accepted: %v", h, err)
+		}
+		cfg.Params.Rates.PerDay[0] = perDayAt(0.5 / ulp)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("horizon %g: total rate 0.5/ulp rejected: %v", h, err)
+		}
+	}
+}
+
+// TestRunTruncatesInsideRecovery: at a recovery load λ·(A + R) of about
+// 100, a recovery attempt completes with probability e^-100, so the run
+// stays in the recovery loop until it passes the horizon. Run must return
+// there, truncated, and agree with runRef bit for bit.
+func TestRunTruncatesInsideRecovery(t *testing.T) {
+	cfg := testConfig("4-3-2-1", 5000, []float64{40, 20, 10, 5})
+	cfg.Params.Rates.PerDay[0] = 1.728e6 // λ_1 = 10 per second at N = 5000
+	cfg.MaxWallClock = 1e4
+	res, err := Run(cfg, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Truncated || res.WallClock <= cfg.MaxWallClock || res.WallClock > 2*cfg.MaxWallClock {
+		t.Errorf("truncated %t at wall clock %g, want truncated just past %g",
+			res.Truncated, res.WallClock, cfg.MaxWallClock)
+	}
+	if res.Failures[0] < 50000 {
+		t.Errorf("%d class-1 failures before the horizon, want about 10^5", res.Failures[0])
+	}
+	if d := diffRun(cfg, 1, true); d != "" {
+		t.Error(d)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"mlckpt/internal/sim"
 )
 
 func TestOptimizePaperSpec(t *testing.T) {
@@ -182,6 +184,31 @@ func TestSimulateRejectsMismatchedPlan(t *testing.T) {
 	plan := Plan{X: []float64{10}, Scale: 1000}
 	if _, err := Simulate(spec, plan, SimOptions{Runs: 2}); !errors.Is(err, ErrSpec) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestSimulateRejectsNonFiniteOptions: a NaN jitter would make every
+// jittered cost NaN, and a NaN or infinite horizon would switch truncation
+// off. Simulate and Sweep report each as a configuration error instead of
+// returning a NaN report.
+func TestSimulateRejectsNonFiniteOptions(t *testing.T) {
+	spec := PaperSpec(3e6, []float64{16, 12, 8, 4})
+	plan, err := Optimize(spec, MLOptScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []SimOptions{
+		{Runs: 3, Jitter: math.NaN()},
+		{Runs: 3, MaxDays: math.NaN()},
+		{Runs: 3, MaxDays: math.Inf(1)},
+	} {
+		if _, err := Simulate(spec, plan, opts); !errors.Is(err, sim.ErrConfig) {
+			t.Errorf("Simulate %+v: err = %v, want sim.ErrConfig", opts, err)
+		}
+		outs := Sweep([]SweepJob{{Spec: spec, Policy: MLOptScale, Sim: &opts}}, SweepOptions{})
+		if !errors.Is(outs[0].Err, sim.ErrConfig) {
+			t.Errorf("Sweep %+v: err = %v, want sim.ErrConfig", opts, outs[0].Err)
+		}
 	}
 }
 
