@@ -61,8 +61,8 @@ short:
 # Spec-validation, cache-key, linter-robustness, model-evaluator-vs-oracle,
 # simulator-runner-vs-oracle, failure-rate-parser, failure-trace-decoder,
 # JSON-spec-loader, erasure-reconstruction, SIMD-encode-kernel-vs-scalar,
-# mpisim-scheduler-equivalence, obs-trace-decoder and obs-metrics-validator
-# invariants. -fuzz takes a pattern that must match exactly one target per
+# mpisim-scheduler-equivalence, inject-decision-key, obs-trace-decoder and
+# obs-metrics-validator invariants. -fuzz takes a pattern that must match exactly one target per
 # package, so it is anchored where a package holds two (failure, erasure,
 # obs).
 fuzz:
@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReconstruct$$' -fuzztime 30s ./internal/erasure
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeKernelMatchesScalar$$' -fuzztime 30s ./internal/erasure
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerEquivalence -fuzztime 30s ./internal/mpisim
+	$(GO) test -run '^$$' -fuzz FuzzDecisionKeys -fuzztime 30s ./internal/inject
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTraceJSON$$' -fuzztime 30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateMetricsJSON$$' -fuzztime 30s ./internal/obs
 

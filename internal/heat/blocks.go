@@ -30,6 +30,7 @@ type BlockSolver struct {
 	cur, nxt     []float64 // (rows+2) × (cols+2) with ghost border
 	iter         int
 	residual     float64
+	resBuf       [1]float64 // the residual Allreduce's one-element vector
 }
 
 // ProcessGrid factors p into the most square px×py grid (px ≤ py).
@@ -208,7 +209,8 @@ func (s *BlockSolver) Step() {
 	}
 	r.Compute(float64(rows*cols) * s.cfg.CellTime)
 	s.cur, s.nxt = s.nxt, s.cur
-	s.residual = r.Allreduce(mpisim.Max, []float64{localMax})[0]
+	s.resBuf[0] = localMax
+	s.residual = r.Allreduce(mpisim.Max, s.resBuf[:])[0]
 	s.iter++
 }
 

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"mlckpt/internal/stats"
 )
@@ -205,8 +206,19 @@ func (p *Plan) Seed() uint64 {
 
 // decision returns the RNG stream of one named decision. Every stream is
 // independent of every other and of the order streams are opened in.
-func (p *Plan) decision(key string) *stats.RNG {
-	return stats.NewRNG(stats.DeriveSeed(p.seed, key))
+//
+// The stream's key is name and the decimal ids joined by '/', the bytes
+// fmt.Sprintf("name/%d/%d", ...) produces, built in a stack buffer: a
+// key of up to 32 bytes, the length of every key a run makes in practice,
+// reaches DeriveSeed without a heap allocation (docs/FAULTS.md).
+func (p *Plan) decision(name string, ids ...int) stats.RNG {
+	var buf [80]byte // the longest key, "parity" and three 20-byte ids, takes 69
+	b := append(buf[:0], name...)
+	for _, id := range ids {
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return *stats.NewRNG(stats.DeriveSeed(p.seed, string(b)))
 }
 
 // SnapshotFault reports whether the snapshot committed for rank at the
@@ -220,11 +232,11 @@ func (p *Plan) SnapshotFault(level, rank, version, size int) (Fault, bool) {
 	if rate <= 0 {
 		return Fault{}, false
 	}
-	rng := p.decision(fmt.Sprintf("snap/%d/%d/%d", level, rank, version))
+	rng := p.decision("snap", level, rank, version)
 	if rng.Float64() >= rate {
 		return Fault{}, false
 	}
-	return p.drawFault(rng, size), true
+	return p.drawFault(&rng, size), true
 }
 
 // ParityFault is SnapshotFault for a level-3 parity shard, identified by
@@ -237,11 +249,11 @@ func (p *Plan) ParityFault(group, shard, version, size int) (Fault, bool) {
 	if rate <= 0 {
 		return Fault{}, false
 	}
-	rng := p.decision(fmt.Sprintf("parity/%d/%d/%d", group, shard, version))
+	rng := p.decision("parity", group, shard, version)
 	if rng.Float64() >= rate {
 		return Fault{}, false
 	}
-	return p.drawFault(rng, size), true
+	return p.drawFault(&rng, size), true
 }
 
 func (p *Plan) drawFault(rng *stats.RNG, size int) Fault {
@@ -257,7 +269,8 @@ func (p *Plan) PairCrash(event int) bool {
 	if p == nil || p.spec.PartnerPairRate <= 0 {
 		return false
 	}
-	return p.decision(fmt.Sprintf("pair/%d", event)).Float64() < p.spec.PartnerPairRate
+	rng := p.decision("pair", event)
+	return rng.Float64() < p.spec.PartnerPairRate
 }
 
 // ParityCrash reports whether crash event `event` also takes a parity
@@ -266,7 +279,8 @@ func (p *Plan) ParityCrash(event int) bool {
 	if p == nil || p.spec.ParityHolderRate <= 0 {
 		return false
 	}
-	return p.decision(fmt.Sprintf("paritycrash/%d", event)).Float64() < p.spec.ParityHolderRate
+	rng := p.decision("paritycrash", event)
+	return rng.Float64() < p.spec.ParityHolderRate
 }
 
 // CkptAbort reports whether the seq-th collective checkpoint of the run
@@ -277,7 +291,7 @@ func (p *Plan) CkptAbort(level, seq int) (float64, bool) {
 	if p == nil || p.spec.CkptAbortRate <= 0 {
 		return 0, false
 	}
-	rng := p.decision(fmt.Sprintf("ckptabort/%d/%d", level, seq))
+	rng := p.decision("ckptabort", level, seq)
 	if rng.Float64() >= p.spec.CkptAbortRate {
 		return 0, false
 	}
@@ -293,7 +307,7 @@ func (p *Plan) RecoveryCrash(event, attempt int) (int, bool) {
 	if p == nil || p.spec.RecoveryCrashRate <= 0 {
 		return 0, false
 	}
-	rng := p.decision(fmt.Sprintf("recovcrash/%d/%d", event, attempt))
+	rng := p.decision("recovcrash", event, attempt)
 	if rng.Float64() >= p.spec.RecoveryCrashRate {
 		return 0, false
 	}
@@ -306,7 +320,8 @@ func (p *Plan) PFSWriteFails(op, attempt int) bool {
 	if p == nil || p.spec.PFSWriteFailRate <= 0 {
 		return false
 	}
-	return p.decision(fmt.Sprintf("pfsw/%d/%d", op, attempt)).Float64() < p.spec.PFSWriteFailRate
+	rng := p.decision("pfsw", op, attempt)
+	return rng.Float64() < p.spec.PFSWriteFailRate
 }
 
 // PFSReadFails reports whether attempt `attempt` (0-based) of the op-th
@@ -315,5 +330,6 @@ func (p *Plan) PFSReadFails(op, attempt int) bool {
 	if p == nil || p.spec.PFSReadFailRate <= 0 {
 		return false
 	}
-	return p.decision(fmt.Sprintf("pfsr/%d/%d", op, attempt)).Float64() < p.spec.PFSReadFailRate
+	rng := p.decision("pfsr", op, attempt)
+	return rng.Float64() < p.spec.PFSReadFailRate
 }

@@ -3,8 +3,11 @@ package inject
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+
+	"mlckpt/internal/stats"
 )
 
 func fullSpec() Spec {
@@ -230,6 +233,90 @@ func TestCompileRejectsBadSpec(t *testing.T) {
 	if _, err := Compile(Spec{TruncateFrac: -1}, 0, "x"); !errors.Is(err, ErrSpec) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// TestDecisionsAllocateNothing pins the decision path at zero
+// allocations: each key is built in a stack buffer and its stream stays
+// on the stack. Every rate is 1, so each of the eight methods opens its
+// stream and draws, and the two TruncateFrac values run both of
+// drawFault's fault kinds.
+func TestDecisionsAllocateNothing(t *testing.T) {
+	for _, frac := range []float64{0, 1} {
+		p := MustCompile(Spec{
+			CorruptRate:       []float64{1, 1, 1, 1},
+			TruncateFrac:      frac,
+			PartnerPairRate:   1,
+			ParityHolderRate:  1,
+			CkptAbortRate:     1,
+			RecoveryCrashRate: 1,
+			PFSWriteFailRate:  1,
+			PFSReadFailRate:   1,
+		}, 7, "allocs")
+		for _, c := range []struct {
+			name string
+			call func()
+		}{
+			{"SnapshotFault", func() { p.SnapshotFault(2, 31, 12, 4096) }},
+			{"ParityFault", func() { p.ParityFault(3, 1, 12, 4096) }},
+			{"PairCrash", func() { p.PairCrash(1234) }},
+			{"ParityCrash", func() { p.ParityCrash(1234) }},
+			{"CkptAbort", func() { p.CkptAbort(4, 567) }},
+			{"RecoveryCrash", func() { p.RecoveryCrash(1234, 2) }},
+			{"PFSWriteFails", func() { p.PFSWriteFails(8901, 3) }},
+			{"PFSReadFails", func() { p.PFSReadFails(8901, 3) }},
+		} {
+			if n := testing.AllocsPerRun(100, c.call); n != 0 {
+				t.Errorf("TruncateFrac %g: %s makes %.0f allocations per call, want 0", frac, c.name, n)
+			}
+		}
+	}
+}
+
+// FuzzDecisionKeys holds every decision method to the key its stream was
+// derived from when keys were formatted with fmt.Sprintf: for any ids, the
+// method's first draw is the first draw of DeriveSeed(seed, Sprintf(...)).
+// The draw u is pinned to the last bit from outside: a plan whose rate is
+// u must not fire (the method drew u' ≥ u) and one whose rate is the next
+// float above u must (u' ≤ u). The extreme seeds give keys longer than the
+// 32 bytes a non-escaping string conversion keeps on the stack.
+func FuzzDecisionKeys(f *testing.F) {
+	ids := []int{0, -1, math.MaxInt64, math.MinInt64}
+	for i := range ids {
+		f.Add(uint64(42), ids[i], ids[(i+1)%4], ids[(i+2)%4])
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, a, b, c int) {
+		level := 1 + int(uint(a)%4) // SnapshotFault draws only for a level the spec has
+		corrupt := func(r float64) Spec { return Spec{CorruptRate: []float64{r, r, r, r}} }
+		for _, d := range []struct {
+			key   string
+			spec  func(rate float64) Spec
+			fires func(p *Plan) bool
+		}{
+			{fmt.Sprintf("snap/%d/%d/%d", level, b, c), corrupt,
+				func(p *Plan) bool { _, ok := p.SnapshotFault(level, b, c, 1); return ok }},
+			{fmt.Sprintf("parity/%d/%d/%d", a, b, c), corrupt,
+				func(p *Plan) bool { _, ok := p.ParityFault(a, b, c, 1); return ok }},
+			{fmt.Sprintf("pair/%d", a), func(r float64) Spec { return Spec{PartnerPairRate: r} },
+				func(p *Plan) bool { return p.PairCrash(a) }},
+			{fmt.Sprintf("paritycrash/%d", a), func(r float64) Spec { return Spec{ParityHolderRate: r} },
+				func(p *Plan) bool { return p.ParityCrash(a) }},
+			{fmt.Sprintf("ckptabort/%d/%d", a, b), func(r float64) Spec { return Spec{CkptAbortRate: r} },
+				func(p *Plan) bool { _, ok := p.CkptAbort(a, b); return ok }},
+			{fmt.Sprintf("recovcrash/%d/%d", a, b), func(r float64) Spec { return Spec{RecoveryCrashRate: r} },
+				func(p *Plan) bool { _, ok := p.RecoveryCrash(a, b); return ok }},
+			{fmt.Sprintf("pfsw/%d/%d", a, b), func(r float64) Spec { return Spec{PFSWriteFailRate: r} },
+				func(p *Plan) bool { return p.PFSWriteFails(a, b) }},
+			{fmt.Sprintf("pfsr/%d/%d", a, b), func(r float64) Spec { return Spec{PFSReadFailRate: r} },
+				func(p *Plan) bool { return p.PFSReadFails(a, b) }},
+		} {
+			u := stats.NewRNG(stats.DeriveSeed(seed, d.key)).Float64()
+			at := &Plan{spec: d.spec(u), seed: seed}
+			above := &Plan{spec: d.spec(math.Nextafter(u, 2)), seed: seed}
+			if d.fires(at) || !d.fires(above) {
+				t.Errorf("seed %d: the decision keyed %q does not draw from that key's stream", seed, d.key)
+			}
+		}
+	})
 }
 
 func ExamplePlan_SnapshotFault() {

@@ -83,6 +83,8 @@ type Solver struct {
 	x     []float64 // full current iterate (all n entries)
 	iter  int
 	resid float64
+
+	resBuf [1]float64 // the residual Allreduce's one-element vector
 }
 
 // NewSolver initializes the rank's partition with x = 0.
@@ -145,7 +147,8 @@ func (s *Solver) Step() {
 			s.x[lo+k/8] = math.Float64frombits(binary.LittleEndian.Uint64(b[k:]))
 		}
 	}
-	s.resid = s.rank.Allreduce(mpisim.Max, []float64{localRes})[0]
+	s.resBuf[0] = localRes
+	s.resid = s.rank.Allreduce(mpisim.Max, s.resBuf[:])[0]
 	s.iter++
 }
 

@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 )
 
@@ -82,6 +83,47 @@ func TestPointToPointRingAllocs(t *testing.T) {
 	if got, want := long-short, float64(2*8*rounds); got != want {
 		t.Errorf("%d more messages cost %.0f allocations (%.0f → %.0f), want %.0f",
 			8*rounds, got, short, long, want)
+	}
+}
+
+// allreduceAllocs is the allocation count of one event-engine run in
+// which p ranks meet at rounds Allreduces of one shared read-only word.
+//
+// The collector is off while it counts. A collection empties the
+// runtime's central sudog cache, and once more ranks are parked than the
+// per-P caches hold (128 each), a parked rank's receive on its resume
+// channel then allocates a sudog: a count set by when the collector ran,
+// not by the engine. With the collector on, the difference below read 33
+// instead of 20 at 256 ranks.
+func allreduceAllocs(t *testing.T, p, rounds int) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	one := []float64{1}
+	return testing.AllocsPerRun(10, func() {
+		_, err := Run(p, DefaultCostModel(), func(r *Rank) {
+			for k := 0; k < rounds; k++ {
+				r.Allreduce(Sum, one)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestAllreduceAllocs pins what one Allreduce costs the event engine at
+// any rank count: exactly 2 allocations, the reduced vector shared by all
+// ranks and its interface box. Contributions travel unboxed (Rank.contrib)
+// and the arrival record is the run's one, sized to the world once. The
+// run's fixed cost (ranks, fibers, the record, resume channels) cancels
+// in the difference between 10 and 20 rounds.
+func TestAllreduceAllocs(t *testing.T) {
+	const rounds = 10
+	for _, p := range []int{8, 32, 256, 1024} {
+		short, long := allreduceAllocs(t, p, rounds), allreduceAllocs(t, p, 2*rounds)
+		if got, want := long-short, float64(2*rounds); got != want {
+			t.Errorf("ranks=%d: %d more Allreduces cost %.0f allocations (%.0f → %.0f), want %.0f",
+				p, rounds, got, short, long, want)
+		}
 	}
 }
 

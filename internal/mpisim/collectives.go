@@ -9,19 +9,14 @@ func (r *Rank) Reduce(root int, op ReduceOp, data []float64) []float64 {
 	if root < 0 || root >= r.rt.size() {
 		panic(fmt.Sprintf("mpisim: Reduce with invalid root %d", root))
 	}
-	local := append([]float64(nil), data...)
+	// No defensive copy of data, for the reason Allreduce gives: every
+	// rank stays blocked until the last arriver has run the reduction.
 	cost := r.rt.cost().treeCost(r.rt.size(), 8*len(data))
-	out := r.collective(collReduce, local, func(entries []float64, payloads []any) (any, float64) {
-		acc := append([]float64(nil), payloads[0].([]float64)...)
-		for i := 1; i < len(payloads); i++ {
-			v := payloads[i].([]float64)
-			if len(v) != len(acc) {
-				panic(fmt.Sprintf("mpisim: Reduce length mismatch: %d vs %d", len(v), len(acc)))
-			}
-			op.apply(acc, v)
-		}
-		return acc, maxOf(entries) + cost
+	r.contrib = data
+	out := r.collective(collReduce, &r.contrib, func(entries []float64, payloads []any) (any, float64) {
+		return op.reduce("Reduce", payloads), maxOf(entries) + cost
 	})
+	r.contrib = nil
 	if r.id != root {
 		return nil
 	}

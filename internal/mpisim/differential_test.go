@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mlckpt/internal/obs"
@@ -306,6 +307,23 @@ func TestSchedulerDeadlockIsError(t *testing.T) {
 	})
 	if !errors.Is(err, ErrRuntime) {
 		t.Fatalf("deadlocked program returned %v, want ErrRuntime", err)
+	}
+}
+
+// TestMismatchedCollectivesIsError: ranks that enter different
+// collectives can never complete either. The event engine parks the
+// mismatched arrivals outside the in-flight arrival record, so the record
+// is never mixed, and reports the deadlock.
+func TestMismatchedCollectivesIsError(t *testing.T) {
+	_, err := Run(4, DefaultCostModel(), func(r *Rank) {
+		if r.ID() == 0 {
+			r.Barrier()
+			return
+		}
+		r.Allreduce(Sum, []float64{1})
+	})
+	if !errors.Is(err, ErrRuntime) || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("mismatched collectives returned %v, want an ErrRuntime deadlock", err)
 	}
 }
 

@@ -52,8 +52,11 @@ type evRuntime struct {
 	// runnable rank with the smallest clock, ties in rank order.
 	q eventq.Queue
 
-	mail  map[mailKey]*mailbox // FIFO per channel, matching the oracle's buffered chans
-	colls map[collKey]*evColl
+	// coll is the arrival record of the one collective in flight. All
+	// collectives are global, so a rank can enter the next one only after
+	// every rank has entered this one: one record, sized to the world
+	// once, serves every collective of the run.
+	coll evColl
 
 	// free recycles message payload buffers like the goroutine engine's
 	// sync.Pool, but as a plain stack: with one goroutine active there is
@@ -84,16 +87,37 @@ const (
 // reaches it (buffered so the resumer never blocks, even if the fiber has
 // not yet reached its receive).
 type fiber struct {
-	id      int
-	state   fiberState
-	resume  chan struct{}
-	wantMsg mailKey // receive the fiber is blocked on (valid when waitMsg)
-	waitMsg bool
+	id     int
+	state  fiberState
+	resume chan struct{}
+
+	// inbox holds one mailbox per (src, tag) channel that has carried a
+	// message to this rank, in first-delivery order. A rank receives on
+	// few channels (at most two in the Figure 4 runs, four for a block
+	// stencil's N/S/E/W neighbours), so a linear scan replaces a
+	// runtime-wide map.
+	inbox []*mailbox
+
+	// The receive the fiber is blocked on, valid while waitMsg is set.
+	wantSrc, wantTag int
+	waitMsg          bool
 }
 
-// evColl is one in-flight collective: arrival slots plus the fibers parked
+// mailboxFrom returns the fiber's mailbox for (src, tag), or nil if that
+// channel has carried no message yet.
+func (f *fiber) mailboxFrom(src, tag int) *mailbox {
+	for _, mb := range f.inbox {
+		if mb.src == src && mb.tag == tag {
+			return mb
+		}
+	}
+	return nil
+}
+
+// evColl is the in-flight collective: arrival slots plus the fibers parked
 // in it, woken together (in arrival order) by the last arriver.
 type evColl struct {
+	key      collKey
 	arrived  int
 	entries  []float64
 	payloads []any
@@ -113,10 +137,13 @@ func runEvent(size int, cost CostModel, fn func(*Rank), rec obs.Recorder, track 
 		rec:    rec,
 		track:  track,
 		fn:     fn,
-		mail:   make(map[mailKey]*mailbox),
-		colls:  make(map[collKey]*evColl),
-		live:   size,
-		done:   make(chan struct{}),
+		coll: evColl{
+			entries:  make([]float64, size),
+			payloads: make([]any, size),
+			waiters:  make([]*fiber, 0, size),
+		},
+		live: size,
+		done: make(chan struct{}),
 	}
 	rt.ranks = make([]Rank, size)
 	rt.fibers = make([]fiber, size)
@@ -291,13 +318,15 @@ func (rt *evRuntime) recycle(p *[]byte) {
 	rt.free = append(rt.free, p)
 }
 
-// mailbox is one (src, dst, tag) channel's FIFO. Draining advances head
-// instead of re-slicing so the backing array is reused once the box
-// empties — the event-engine analogue of the oracle's long-lived
-// buffered channels (a re-sliced queue reallocates on every message).
+// mailbox is one (src, dst, tag) channel's FIFO, held in dst's inbox.
+// Draining advances head instead of re-slicing so the backing array is
+// reused once the box empties — the event-engine analogue of the
+// oracle's long-lived buffered channels (a re-sliced queue reallocates on
+// every message).
 type mailbox struct {
-	msgs []message
-	head int
+	src, tag int
+	msgs     []message
+	head     int
 }
 
 func (mb *mailbox) push(m message) {
@@ -323,15 +352,15 @@ func (mb *mailbox) pop() (message, bool) {
 //
 //mlckpt:hotpath
 func (rt *evRuntime) deliver(r *Rank, dst, tag int, m message) {
-	k := mailKey{r.id, dst, tag}
-	mb := rt.mail[k]
+	df := &rt.fibers[dst]
+	mb := df.mailboxFrom(r.id, tag)
 	if mb == nil {
 		mb = &mailbox{}
-		rt.mail[k] = mb
+		mb.src, mb.tag = r.id, tag
+		df.inbox = append(df.inbox, mb)
 	}
 	mb.push(m)
-	df := &rt.fibers[dst]
-	if df.state == fibBlocked && df.waitMsg && df.wantMsg == k {
+	if df.state == fibBlocked && df.waitMsg && df.wantSrc == r.id && df.wantTag == tag {
 		df.waitMsg = false
 		df.state = fibReady
 		wake := rt.ranks[dst].clock
@@ -348,41 +377,47 @@ func (rt *evRuntime) deliver(r *Rank, dst, tag int, m message) {
 //mlckpt:hotpath
 func (rt *evRuntime) await(r *Rank, src, tag int) message {
 	f := r.fib
-	k := mailKey{src, r.id, tag}
 	for {
-		if mb := rt.mail[k]; mb != nil {
+		if mb := f.mailboxFrom(src, tag); mb != nil {
 			if m, ok := mb.pop(); ok {
 				return m
 			}
 		}
-		f.wantMsg, f.waitMsg = k, true
+		f.wantSrc, f.wantTag, f.waitMsg = src, tag, true
 		rt.park(f)
 	}
 }
 
 // rendezvous implements the collective protocol: arrivals deposit entry
-// clock and payload; the last arriver runs compute, emits the span, and
-// wakes every parked participant at the common exit time.
+// clock and payload in the run's one arrival record; the last arriver runs
+// compute, emits the span, wakes every parked participant at the common
+// exit time and resets the record for the next collective.
+//
+// Waiters read result and exit from the record after the reset. Both stay
+// put until the next collective completes, and that needs every rank —
+// each waiter included — to have returned from this one and arrived there.
 func (rt *evRuntime) rendezvous(r *Rank, key collKey, payload any, compute collCompute) (any, float64) {
-	op, ok := rt.colls[key]
-	if !ok {
-		op = &evColl{
-			entries:  make([]float64, rt.nranks),
-			payloads: make([]any, rt.nranks),
-		}
-		rt.colls[key] = op
+	op := &rt.coll
+	if op.arrived == 0 {
+		op.key = key
+	} else if op.key != key {
+		// Mismatched collectives: completing either one needs every rank,
+		// this one included, so neither ever completes. Park for good; the
+		// scheduler reports the deadlock once no rank can run.
+		rt.park(r.fib)
 	}
 	op.entries[r.id] = r.clock
 	op.payloads[r.id] = payload
 	op.arrived++
 	if op.arrived == rt.nranks {
 		op.result, op.exit = compute(op.entries, op.payloads)
-		delete(rt.colls, key) // slot is complete; free it
 		emitCollSpan(rt.rec, rt.track, key, op.entries, op.exit)
 		for _, w := range op.waiters {
 			w.state = fibReady
 			rt.q.Push(op.exit, int64(w.id))
 		}
+		op.arrived, op.waiters = 0, op.waiters[:0]
+		clear(op.payloads) // release the payloads' references
 		return op.result, op.exit
 	}
 	op.waiters = append(op.waiters, r.fib)

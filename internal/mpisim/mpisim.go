@@ -183,6 +183,12 @@ type Rank struct {
 	clock float64
 	seq   [numCollKinds]int // per-kind collective sequence numbers
 
+	// contrib holds the rank's vector while it is inside an Allreduce or
+	// Reduce. The collective's payload is &contrib, a pointer an interface
+	// holds without allocating; boxing the slice itself would cost one
+	// allocation per rank per collective.
+	contrib []float64
+
 	// Event-engine fiber state (nil under the goroutine engine). Keeping
 	// the pointer here lets the shared ops layer stay engine-agnostic while
 	// the event backend reaches its scheduling state in O(1).
@@ -511,8 +517,23 @@ const (
 	Min
 )
 
-// apply folds v into acc elementwise. Shared by Allreduce and Reduce so
-// every reduction uses the exact same float operations.
+// reduce folds the ranks' contributions (each payload a *[]float64, see
+// Rank.contrib) in rank order into a fresh vector. Shared by Allreduce and
+// Reduce so every reduction uses the exact same float operations; name
+// labels a length-mismatch panic.
+func (op ReduceOp) reduce(name string, payloads []any) []float64 {
+	acc := append([]float64(nil), *payloads[0].(*[]float64)...)
+	for _, p := range payloads[1:] {
+		v := *p.(*[]float64)
+		if len(v) != len(acc) {
+			panic(fmt.Sprintf("mpisim: %s length mismatch: %d vs %d", name, len(v), len(acc)))
+		}
+		op.apply(acc, v)
+	}
+	return acc
+}
+
+// apply folds v into acc elementwise.
 func (op ReduceOp) apply(acc, v []float64) {
 	for j := range acc {
 		switch op {
@@ -540,17 +561,11 @@ func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
 	// caller can mutate its argument while another rank's closure reads
 	// it. (The reduced vector is a fresh allocation shared by all ranks.)
 	cost := r.rt.cost().treeCost(r.rt.size(), 8*len(data)) * 2 // reduce + broadcast phases
-	out := r.collective(collAllreduce, data, func(entries []float64, payloads []any) (any, float64) {
-		acc := append([]float64(nil), payloads[0].([]float64)...)
-		for i := 1; i < len(payloads); i++ {
-			v := payloads[i].([]float64)
-			if len(v) != len(acc) {
-				panic(fmt.Sprintf("mpisim: Allreduce length mismatch: %d vs %d", len(v), len(acc)))
-			}
-			op.apply(acc, v)
-		}
-		return acc, maxOf(entries) + cost
+	r.contrib = data
+	out := r.collective(collAllreduce, &r.contrib, func(entries []float64, payloads []any) (any, float64) {
+		return op.reduce("Allreduce", payloads), maxOf(entries) + cost
 	})
+	r.contrib = nil
 	return out.([]float64)
 }
 
