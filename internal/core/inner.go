@@ -16,18 +16,28 @@ import (
 const scaleGridN = 64
 
 // innerState is the workspace of one Algorithm 1 solve: the per-level
-// vectors of the inner iterate and of the outer μ refresh, carved from one
-// slab, the point evaluator of the scale search (built once per solve),
-// and the candidate scratch. One instance serves one Params value; it is
-// not safe for concurrent use.
+// vectors of the inner iterate and of the outer μ refresh, the scale
+// scan's grid, gradients and table, all carved from one slab, the point
+// evaluator of the scale search (built once per solve), and the candidate
+// scratch. One instance serves one Params value; it is not safe for
+// concurrent use.
 type innerState struct {
 	p *model.Params
 	L int
+	// ceiling is N^(*), the top of the scale search.
+	ceiling float64
 
 	b, x, prevX, mu []float64
 	// outer holds Algorithm 1's μ buffers: the current estimate, μ at the
 	// solved scale (line 6), and the refreshed estimate (lines 7–10).
 	outer [3][]float64
+
+	// grid holds the scan's scaleGridN+1 points of [scaleFloor, ceiling]
+	// and grads the gradient at each; table is the evaluator's table of the
+	// grid's N-only terms. The grid depends on p alone, so scanGrid builds
+	// grid and table once, at the solve's first scale search.
+	grid, grads, table []float64
+	gridBuilt          bool
 
 	ev   *model.Evaluator
 	cand []float64
@@ -36,15 +46,21 @@ type innerState struct {
 // newInnerState builds a workspace for p.
 func newInnerState(p *model.Params) *innerState {
 	L := p.L()
-	vecs := make([]float64, 7*L)
+	ev := p.NewEvaluator()
+	const points = scaleGridN + 1
+	vecs := make([]float64, 7*L+2*points+ev.ScanLen(points))
+	scan := vecs[7*L:]
 	return &innerState{
-		p: p, L: L,
+		p: p, L: L, ceiling: p.Speedup.IdealScale(),
 		b:     vecs[0*L : 1*L],
 		x:     vecs[1*L : 2*L],
 		prevX: vecs[2*L : 3*L],
 		mu:    vecs[3*L : 4*L],
 		outer: [3][]float64{vecs[4*L : 5*L], vecs[5*L : 6*L], vecs[6*L : 7*L]},
-		ev:    p.NewEvaluator(),
+		grid:  scan[:points],
+		grads: scan[points : 2*points],
+		table: scan[2*points:],
+		ev:    ev,
 	}
 }
 
@@ -67,14 +83,15 @@ func newInnerState(p *model.Params) *innerState {
 // the scale and the iterations used.
 //
 // The scale search evaluates through model.Evaluator, bit-identical to
-// Params.GradN and Params.WallClock; Options.NumericGradN switches it to
-// the finite-difference ablation.
+// Params.GradN and Params.WallClock: its scan through the evaluator's
+// four-lane passes over the grid's table, the rest point by point.
+// Options.NumericGradN switches it to the finite-difference ablation.
 func (st *innerState) solve(tEst, nInit float64, opts Options) (float64, int, error) {
 	p, L := st.p, st.L
 	p.BOfTInto(st.b, tEst)
 
 	n := nInit
-	ceiling := p.Speedup.IdealScale()
+	ceiling := st.ceiling
 	if opts.FixedN > 0 {
 		n = opts.FixedN
 	}
@@ -125,7 +142,7 @@ func (st *innerState) solve(tEst, nInit float64, opts Options) (float64, int, er
 		}
 
 		if opts.FixedN <= 0 {
-			nNew, err := st.solveScale(opts, ceiling)
+			nNew, err := st.solveScale(opts)
 			if err != nil {
 				return n, iter, err
 			}
@@ -147,16 +164,19 @@ func (st *innerState) solve(tEst, nInit float64, opts Options) (float64, int, er
 	}
 }
 
-// solveScale finds the root of ∂E/∂N on [floor, ceiling] for the current
-// iterate with the point evaluator bound to it: the analytic Formula 24,
-// or its finite difference for Options.NumericGradN.
-func (st *innerState) solveScale(opts Options, ceiling float64) (float64, error) {
+// solveScale finds the root of ∂E/∂N on [scaleFloor, ceiling] for the
+// current iterate with the point evaluator bound to it: the analytic
+// Formula 24, whose scan the evaluator fills four points per pass from the
+// grid's table, or its finite difference for Options.NumericGradN.
+func (st *innerState) solveScale(opts Options) (float64, error) {
 	st.ev.Bind(st.x, st.b)
-	grad := st.ev.GradN
+	rec := obs.OrNop(opts.Obs)
 	if opts.NumericGradN {
-		grad = st.numericGradN
+		return st.searchScale(st.numericGradN, st.ev.WallClock, rec)
 	}
-	return st.searchScale(grad, st.ev.WallClock, scaleFloor, ceiling, obs.OrNop(opts.Obs))
+	st.scanGrid()
+	st.ev.GradScan(st.grads)
+	return st.pickScale(st.ev.GradN, st.ev.WallClock, rec)
 }
 
 // numericGradN is the finite-difference ablation of Formula 24: a central
@@ -165,15 +185,42 @@ func (st *innerState) numericGradN(n float64) float64 {
 	return numopt.DerivativeStep(st.ev.WallClock, n, math.Max(1, n*1e-6))
 }
 
-// searchScale minimizes the frozen-μ objective over [lo, hi] given its
-// N-gradient grad and value wallClock. The candidate optima are the
-// interval endpoints, every stationary point of the gradient, and any
+// scanGrid returns the scan's scaleGridN+1 equispaced points of
+// [scaleFloor, ceiling], building them, and the evaluator's table of
+// their N-only terms, on the first call.
+func (st *innerState) scanGrid() []float64 {
+	if !st.gridBuilt {
+		lo, hi := scaleFloor, st.ceiling
+		st.grid[0] = lo
+		for k := 1; k <= scaleGridN; k++ {
+			st.grid[k] = lo + (hi-lo)*float64(k)/scaleGridN
+		}
+		st.ev.SetScan(st.grid, st.table)
+		st.gridBuilt = true
+	}
+	return st.grid
+}
+
+// searchScale minimizes the frozen-μ objective over [scaleFloor, ceiling]
+// given its N-gradient grad and value wallClock, calling grad once per
+// scan point; pickScale does the rest.
+func (st *innerState) searchScale(grad, wallClock numopt.Func, rec obs.Recorder) (float64, error) {
+	for k, n := range st.scanGrid() {
+		st.grads[k] = grad(n)
+	}
+	return st.pickScale(grad, wallClock, rec)
+}
+
+// pickScale minimizes the frozen-μ objective over [scaleFloor, ceiling]
+// from the scan's gradients st.grads, given the objective's N-gradient
+// grad and value wallClock. The candidate optima are the interval
+// endpoints, every stationary point of the gradient, and any
 // cost-saturation caps: a saturation kink can split the objective into two
 // convex branches, each with its own stationary point, so a single
-// bisection is not enough. It scans grad on scaleGridN+1 equispaced points
-// for every sign change, bisects each bracket, and returns the candidate
-// with the least wallClock.
-func (st *innerState) searchScale(grad, wallClock numopt.Func, lo, hi float64, rec obs.Recorder) (float64, error) {
+// bisection is not enough. It bisects every sign change of the scan
+// through grad and returns the candidate with the least wallClock.
+func (st *innerState) pickScale(grad, wallClock numopt.Func, rec obs.Recorder) (float64, error) {
+	lo, hi := scaleFloor, st.ceiling
 	st.cand = append(st.cand[:0], lo, hi)
 	for _, lv := range st.p.Levels {
 		for _, cap := range [2]float64{lv.Checkpoint.Cap, lv.Recovery.Cap} {
@@ -183,7 +230,7 @@ func (st *innerState) searchScale(grad, wallClock numopt.Func, lo, hi float64, r
 		}
 	}
 	prev := lo
-	gPrev := grad(lo)
+	gPrev := st.grads[0]
 	if math.IsNaN(gPrev) || math.IsInf(gPrev, -1) {
 		// The gradient blew up at the floor where the objective is
 		// infinite (or the finite-difference stencil stepped below it);
@@ -192,8 +239,7 @@ func (st *innerState) searchScale(grad, wallClock numopt.Func, lo, hi float64, r
 		gPrev = -1
 	}
 	for k := 1; k <= scaleGridN; k++ {
-		cur := lo + (hi-lo)*float64(k)/scaleGridN
-		gCur := grad(cur)
+		cur, gCur := st.grid[k], st.grads[k]
 		if gPrev < 0 && gCur >= 0 {
 			// Bisection well below the fixed-point tolerance (the paper
 			// stops at error < 0.5 for integral N and rounds; a coarser

@@ -146,11 +146,13 @@ func reuseSnapshot(old snapshot, v int, src []byte) snapshot {
 // legal when *src is consumed exactly once by the commit (levels 1 and 4,
 // and the last use of a level-2 payload): the donor — the pending scratch —
 // truncates its buffer before refilling it, so receiving a stale buffer of
-// the right capacity is exactly as good as keeping its own.
-func stealSnapshot(old snapshot, v int, src *[]byte) snapshot {
+// the right capacity is exactly as good as keeping its own. sum is *src's
+// CRC-32C, which a level-2 commit already holds from the payload's local
+// copy.
+func stealSnapshot(old snapshot, v int, src *[]byte, sum uint32) snapshot {
 	b := *src
 	*src = old.data
-	return snapshot{version: v, data: b, sum: crc32.Checksum(b, crcTable)}
+	return snapshot{version: v, data: b, sum: sum}
 }
 
 // NewCluster creates a machine of `nodes` nodes (one rank per node).
@@ -376,17 +378,19 @@ func (c *Cluster) commitLocked(level int, data [][]byte) error {
 	v := c.version
 	switch level {
 	case 1:
-		for rank := range data {
-			c.local[0][rank] = c.corruptLocked(1, rank, stealSnapshot(c.local[0][rank], v, &data[rank]))
+		for rank, d := range data {
+			c.local[0][rank] = c.corruptLocked(1, rank, stealSnapshot(c.local[0][rank], v, &data[rank], crc32.Checksum(d, crcTable)))
 		}
 	case 2:
 		for rank, d := range data {
-			c.local[0][rank] = c.corruptLocked(2, rank, reuseSnapshot(c.local[0][rank], v, d))
+			own := reuseSnapshot(c.local[0][rank], v, d)
+			c.local[0][rank] = c.corruptLocked(2, rank, own)
 			p := c.PartnerOf(rank)
 			// The partner copy corrupts independently of the owner's own
 			// copy: its injection identity is the owner rank + node count.
-			// This is the payload's last use, so it is stolen, not copied.
-			c.partner[0][p] = c.corruptLocked(2, rank+c.nodes, stealSnapshot(c.partner[0][p], v, &data[rank]))
+			// This is the payload's last use, so it is stolen, not copied,
+			// and its bytes are the local copy's, so is its checksum.
+			c.partner[0][p] = c.corruptLocked(2, rank+c.nodes, stealSnapshot(c.partner[0][p], v, &data[rank], own.sum))
 		}
 	case 3:
 		for rank, d := range data {
@@ -458,17 +462,22 @@ func (c *Cluster) commitLocked(level int, data [][]byte) error {
 			// Content CRCs per member live in the group's replicated
 			// metadata (small, mirrored like FTI's topology files), so a
 			// reconstructed shard can be verified even though the original
-			// holder — and its checksum — died with the crash.
+			// holder — and its checksum — died with the crash. A member in
+			// the run reuses the sum its data shard took above, before any
+			// injected corruption; one beyond it contributed no bytes, whose
+			// CRC-32C is 0.
 			for idx, r := range ranks {
-				lens[idx] = len(rankData(data, r))
-				sums[idx] = crc32.Checksum(rankData(data, r), crcTable)
+				lens[idx], sums[idx] = 0, 0
+				if r < len(data) {
+					lens[idx], sums[idx] = len(data[r]), c.rsData[0][r].sum
+				}
 			}
 			c.rsLens[g] = lens
 			c.rsSums[g] = sums
 		}
 	case 4:
-		for rank := range data {
-			c.pfs[rank] = c.corruptLocked(4, rank, stealSnapshot(c.pfs[rank], v, &data[rank]))
+		for rank, d := range data {
+			c.pfs[rank] = c.corruptLocked(4, rank, stealSnapshot(c.pfs[rank], v, &data[rank], crc32.Checksum(d, crcTable)))
 		}
 	}
 	return nil

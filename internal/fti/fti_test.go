@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"mlckpt/internal/mpisim"
@@ -340,6 +341,54 @@ func TestShortTailGroup(t *testing.T) {
 	for i := range data {
 		if !bytes.Equal(data[i], rankPayload(i)) {
 			t.Errorf("rank %d corrupted", i)
+		}
+	}
+}
+
+// TestCommitChecksumsMatchPayloads pins every stored CRC-32C to the CRC of
+// the payload it was committed from, at each level, over two rounds of
+// different payload sizes so recycled and swapped buffers are covered. A
+// level-2 partner copy and a level-3 member's replicated sum reuse the sum
+// computed for the rank's own copy instead of checksumming the bytes again.
+func TestCommitChecksumsMatchPayloads(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GroupSize = 4
+	cfg.Parity = 2
+	c, err := NewCluster(10, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		payload := func(r int) []byte {
+			out := make([]byte, 50+13*r+70*round)
+			for i := range out {
+				out[i] = byte(7*r ^ i ^ round)
+			}
+			return out
+		}
+		want := func(r int) uint32 { return crc32.Checksum(payload(r), crcTable) }
+		check := func(level int, what string, r int, got uint32) {
+			t.Helper()
+			if got != want(r) {
+				t.Errorf("round %d level %d: %s of rank %d has sum %08x, payload %08x", round, level, what, r, got, want(r))
+			}
+		}
+		for level := 1; level <= 4; level++ {
+			runCheckpoint(t, c, level, payload)
+			for r := 0; r < c.Nodes(); r++ {
+				switch level {
+				case 1:
+					check(level, "local copy", r, c.local[0][r].sum)
+				case 2:
+					check(level, "local copy", r, c.local[0][r].sum)
+					check(level, "partner copy", r, c.partner[0][c.PartnerOf(r)].sum)
+				case 3:
+					check(level, "data shard", r, c.rsData[0][r].sum)
+					check(level, "group metadata", r, c.rsSums[c.groupOf(r)][r%cfg.GroupSize])
+				case 4:
+					check(level, "PFS copy", r, c.pfs[r].sum)
+				}
+			}
 		}
 	}
 }

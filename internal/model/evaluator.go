@@ -37,6 +37,13 @@ import (
 //     keep the oracle's expression shape, so multiply-add fusion (arm64)
 //     treats both alike.
 //
+// A scale scan evaluates GradN on a fixed grid of points many times, once
+// per iterate. SetScan tabulates the grid's N-only terms once — each
+// point's g(N), g′(N), T_e/g² and the N-variant levels' C_i, R_i, C′_i
+// and R′_i — and GradScan then fills the grid's gradients four points per
+// pass, each lane doing GradN's remaining operations in GradN's order, so
+// every lane is bit-identical to GradN at its point too.
+//
 // The Evaluator snapshots p's levels at construction; it is not safe for
 // concurrent use.
 type Evaluator struct {
@@ -59,7 +66,20 @@ type Evaluator struct {
 	cFrom, dFrom int
 
 	sumBp float64 // Σ b_i/(2x_i), bound per iterate
+
+	// scan is SetScan's table of scanPoints grid points, one block of
+	// 4·scanStride floats per four points (the last block may be partial).
+	// Column c of a block holds its four points' values at [4c, 4c+4); the
+	// columns are n, g(n), g′(n), T_e/g(n)², then C_i(n), R_i(n) of each
+	// varC level, then C′_i(n), R′_i(n) of each varD level.
+	scan       []float64
+	scanStride int
+	scanPoints int
 }
+
+// scanHead is the number of speedup columns that open a scan table
+// block: n, g, g′ and T_e/g².
+const scanHead = 4
 
 type speedupKind uint8
 
@@ -79,6 +99,10 @@ type evalLevel struct {
 
 	x, b, x2, xm1 float64 // x_i, b_i, 2x_i, x_i − 1
 	ckPre, cpPre  float64 // hoisted prefixes of Σ_{k≤i} C_k x_k/(2x_i) and Σ C′_k x_k/(2x_i)
+
+	// The lane scratch of a GradScan pass: C_i, R_i, C′_i, R′_i at the
+	// pass's four points (set once when N-invariant).
+	lc, lr, lcp, lrp [4]float64
 }
 
 // NewEvaluator returns an Evaluator for p. Bind it to an iterate before
@@ -107,6 +131,9 @@ func (p *Params) NewEvaluator() *Evaluator {
 		l.rAt, l.rDer = atCost(rc), derivativeCost(rc)
 		// Fixed terms keep these values; the others are overwritten per point.
 		l.c, l.cp, l.r, l.rp = l.cAt.v, l.cDer.v, l.rAt.v, l.rDer.v
+		for j := range l.lc {
+			l.lc[j], l.lcp[j], l.lr[j], l.lrp[j] = l.c, l.cp, l.r, l.rp
+		}
 		if l.cAt.kind != pointFixed || l.rAt.kind != pointFixed {
 			e.varC = append(e.varC, i)
 		}
@@ -120,6 +147,7 @@ func (p *Params) NewEvaluator() *Evaluator {
 			e.dFrom = i
 		}
 	}
+	e.scanStride = scanHead + 2*len(e.varC) + 2*len(e.varD)
 	return e
 }
 
@@ -283,6 +311,138 @@ func (e *Evaluator) WallClock(n float64) float64 {
 		total += l.b * n * (loss + e.alloc + l.r)
 	}
 	return total
+}
+
+// ScanLen returns the number of floats SetScan needs for a grid of points
+// scales.
+func (e *Evaluator) ScanLen(points int) int { return (points + 3) / 4 * 4 * e.scanStride }
+
+// SetScan tabulates the N-only terms of Formula 24 at the scales ns into
+// buf, which must hold ScanLen(len(ns)) floats and which the Evaluator
+// keeps until the next SetScan. The table does not depend on the iterate,
+// so it survives Bind.
+//
+//mlckpt:hotpath
+func (e *Evaluator) SetScan(ns, buf []float64) {
+	stride, size := e.scanStride, e.ScanLen(len(ns))
+	if len(buf) < size {
+		badScan()
+	}
+	e.scan, e.scanPoints = buf[:size], len(ns)
+	for k, n := range ns {
+		blk := e.scan[k/4*4*stride:]
+		lane := k % 4
+		g, gp := e.speedupAt(n)
+		blk[0*4+lane], blk[1*4+lane], blk[2*4+lane], blk[3*4+lane] = n, g, gp, e.te/(g*g)
+		col := scanHead
+		for _, i := range e.varC {
+			l := &e.lv[i]
+			blk[col*4+lane], blk[(col+1)*4+lane] = l.cAt.at(n), l.rAt.at(n)
+			col += 2
+		}
+		for _, i := range e.varD {
+			l := &e.lv[i]
+			blk[col*4+lane], blk[(col+1)*4+lane] = l.cDer.at(n), l.rDer.at(n)
+			col += 2
+		}
+	}
+}
+
+// GradScan sets dst[k] to ∂E(T_w)/∂N at the k-th SetScan scale for the
+// bound iterate, bit-identical to GradN there: four points per
+// gradPass, and GradN for the remainder. dst needs one entry per scale.
+//
+//mlckpt:hotpath
+func (e *Evaluator) GradScan(dst []float64) {
+	if len(dst) != e.scanPoints {
+		badScan()
+	}
+	blockLen := 4 * e.scanStride
+	k := 0
+	for ; k+4 <= len(dst); k += 4 {
+		e.gradPass(e.scan[k/4*blockLen:(k/4+1)*blockLen], (*[4]float64)(dst[k:k+4]))
+	}
+	for ; k < len(dst); k++ {
+		dst[k] = e.GradN(e.scan[k/4*blockLen+k%4])
+	}
+}
+
+// gradPass evaluates Formula 24 at the four scan points of the table block
+// blk, one lane per point: each lane does GradN's operations in GradN's
+// order, with the table's terms in place of the speedup and cost calls,
+// and keeps its sums in locals rather than in a per-stage column.
+//
+//mlckpt:hotpath
+func (e *Evaluator) gradPass(blk []float64, dst *[4]float64) {
+	lv := e.lv
+	col := scanHead * 4
+	for _, i := range e.varC {
+		l := &lv[i]
+		l.lc, l.lr = [4]float64(blk[col:col+4]), [4]float64(blk[col+4:col+8])
+		col += 8
+	}
+	for _, i := range e.varD {
+		l := &lv[i]
+		l.lcp, l.lrp = [4]float64(blk[col:col+4]), [4]float64(blk[col+4:col+8])
+		col += 8
+	}
+	ns, gs, gps, tg2 := [4]float64(blk[0:4]), [4]float64(blk[4:8]), [4]float64(blk[8:12]), [4]float64(blk[12:16])
+	n0, n1, n2, n3 := ns[0], ns[1], ns[2], ns[3]
+	m0, m1, m2, m3 := 0.0, 0.0, 0.0, 0.0
+	for i := range lv {
+		l := &lv[i]
+		m0 += l.b * n0 / l.x2
+		m1 += l.b * n1 / l.x2
+		m2 += l.b * n2 / l.x2
+		m3 += l.b * n3 / l.x2
+	}
+	sumBp := e.sumBp
+	g0 := tg2[0] * (sumBp*gs[0] - (1+m0)*gps[0])
+	g1 := tg2[1] * (sumBp*gs[1] - (1+m1)*gps[1])
+	g2 := tg2[2] * (sumBp*gs[2] - (1+m2)*gps[2])
+	g3 := tg2[3] * (sumBp*gs[3] - (1+m3)*gps[3])
+	for i := range lv {
+		l := &lv[i]
+		g0 += l.lcp[0] * l.xm1
+		g1 += l.lcp[1] * l.xm1
+		g2 += l.lcp[2] * l.xm1
+		g3 += l.lcp[3] * l.xm1
+	}
+	for i := range lv {
+		l := &lv[i]
+		c0, c1, c2, c3 := l.ckPre, l.ckPre, l.ckPre, l.ckPre
+		for k := e.cFrom; k <= i; k++ {
+			lk := &lv[k]
+			c0 += lk.lc[0] * lk.x / l.x2
+			c1 += lk.lc[1] * lk.x / l.x2
+			c2 += lk.lc[2] * lk.x / l.x2
+			c3 += lk.lc[3] * lk.x / l.x2
+		}
+		p0, p1, p2, p3 := l.cpPre, l.cpPre, l.cpPre, l.cpPre
+		for k := e.dFrom; k <= i; k++ {
+			lk := &lv[k]
+			p0 += lk.lcp[0] * lk.x / l.x2
+			p1 += lk.lcp[1] * lk.x / l.x2
+			p2 += lk.lcp[2] * lk.x / l.x2
+			p3 += lk.lcp[3] * lk.x / l.x2
+		}
+		g0 += l.b * (c0 + e.alloc + l.lr[0])
+		g1 += l.b * (c1 + e.alloc + l.lr[1])
+		g2 += l.b * (c2 + e.alloc + l.lr[2])
+		g3 += l.b * (c3 + e.alloc + l.lr[3])
+		g0 += l.b * n0 * (p0 + l.lrp[0])
+		g1 += l.b * n1 * (p1 + l.lrp[1])
+		g2 += l.b * n2 * (p2 + l.lrp[2])
+		g3 += l.b * n3 * (p3 + l.lrp[3])
+	}
+	dst[0], dst[1], dst[2], dst[3] = g0, g1, g2, g3
+}
+
+// badScan is outlined so the panic stays out of the scan's compiled bodies.
+//
+//go:noinline
+func badScan() {
+	panic("model: Evaluator scan: buffer or destination does not match the scan grid")
 }
 
 // speedupAt returns g(n) and g′(n) through the concrete model's methods.

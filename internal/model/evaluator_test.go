@@ -140,9 +140,10 @@ func sameResult(a, b float64) bool {
 }
 
 // checkEvaluator compares the bound Evaluator with the scalar oracle at
-// every scale of ns.
+// every scale of ns, point by point and through a scan of ns (checkScan).
 func checkEvaluator(t *testing.T, p *Params, e *Evaluator, x, b, ns []float64) {
 	t.Helper()
+	checkScan(t, p, e, x, b, ns)
 	mu := make([]float64, len(b))
 	for _, n := range ns {
 		if got, want := e.GradN(n), p.GradN(x, n, b); !sameResult(got, want) {
@@ -153,6 +154,73 @@ func checkEvaluator(t *testing.T, p *Params, e *Evaluator, x, b, ns []float64) {
 		}
 		if got, want := e.WallClock(n), p.WallClock(x, n, mu); !sameResult(got, want) {
 			t.Fatalf("WallClock(%v) = %v, oracle %v (speedup %v, levels %+v)", n, got, want, p.Speedup, p.Levels)
+		}
+	}
+}
+
+// scanPoints returns a scan grid for p that ends with ns: first one
+// four-point pass per saturation cap straddling it (just below, at, just
+// above, and well above the cap), then a pass of scales where g(N) ≤ 0
+// for every speedup model here (0, a negative scale, and two beyond the
+// quadratic's zero at 2·N^(*)). ns, of any length, then fills whole passes
+// and the remainder that GradScan evaluates point by point.
+func scanPoints(p *Params, ns []float64) []float64 {
+	var pts []float64
+	for _, lv := range p.Levels {
+		for _, c := range [2]overhead.Cost{lv.Checkpoint, lv.Recovery} {
+			if c.Cap > 0 {
+				pts = append(pts, math.Nextafter(c.Cap, 0), c.Cap, math.Nextafter(c.Cap, math.Inf(1)), 2*c.Cap)
+			}
+		}
+	}
+	ceiling := p.Speedup.IdealScale()
+	pts = append(pts, 0, -3, 2*ceiling+1, 3*ceiling)
+	return append(pts, ns...)
+}
+
+// checkScan tabulates scanPoints(p, ns) and requires every lane of every
+// GradScan pass, and every remainder point, to equal the scalar oracle
+// Params.GradN bit for bit (NaN-ness only, as in sameResult).
+func checkScan(t *testing.T, p *Params, e *Evaluator, x, b, ns []float64) {
+	t.Helper()
+	pts := scanPoints(p, ns)
+	e.SetScan(pts, make([]float64, e.ScanLen(len(pts))))
+	got := make([]float64, len(pts))
+	e.GradScan(got)
+	for k, n := range pts {
+		if want := p.GradN(x, n, b); !sameResult(got[k], want) {
+			t.Fatalf("GradScan pass %d lane %d (N=%v) = %v, oracle %v (speedup %v, levels %+v)",
+				k/4, k%4, n, got[k], want, p.Speedup, p.Levels)
+		}
+	}
+}
+
+// TestScanSurvivesBind builds one scan table per Evaluator and re-binds it
+// to several iterates, interleaving point evaluations at other scales
+// between scans: the table holds no iterate term, and a pass's lane
+// scratch must not leak into GradN or the next pass.
+func TestScanSurvivesBind(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 100; trial++ {
+		p := randParams(rng)
+		e := p.NewEvaluator()
+		pts := scanPoints(p, randGrid(rng, p, 1+rng.Intn(70)))
+		e.SetScan(pts, make([]float64, e.ScanLen(len(pts))))
+		got := make([]float64, len(pts))
+		for bind := 0; bind < 3; bind++ {
+			x, b := randIterate(rng, p.L())
+			e.Bind(x, b)
+			e.GradN(rng.Float64() * 2e6)
+			e.GradScan(got)
+			for k, n := range pts {
+				want := p.GradN(x, n, b)
+				if !sameResult(got[k], want) {
+					t.Fatalf("trial %d bind %d: GradScan[%d] (N=%v) = %v, oracle %v", trial, bind, k, n, got[k], want)
+				}
+				if g := e.GradN(n); !sameResult(g, want) {
+					t.Fatalf("trial %d bind %d: GradN(%v) after a scan = %v, oracle %v", trial, bind, n, g, want)
+				}
+			}
 		}
 	}
 }
@@ -260,19 +328,28 @@ func TestIntoVariantsMatch(t *testing.T) {
 	}
 }
 
-// TestEvaluatorZeroAlloc is the steady-state allocation gate: binding and
-// evaluating must not allocate (the compiler half of this contract is
-// cmd/allocgate).
+// TestEvaluatorZeroAlloc is the steady-state allocation gate: binding,
+// tabulating a scan, and evaluating must not allocate (the compiler half of
+// this contract is cmd/allocgate).
 func TestEvaluatorZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
 		p := randParams(rng)
 		e := p.NewEvaluator()
 		x, b := randIterate(rng, p.L())
+		e.Bind(x, b)
+		pts := scanPoints(p, randGrid(rng, p, 65))
+		table := make([]float64, e.ScanLen(len(pts)))
+		grads := make([]float64, len(pts))
+		var pass [4]float64
+		e.SetScan(pts, table)
 		steps := map[string]func(){
 			"Bind":      func() { e.Bind(x, b) },
 			"GradN":     func() { e.GradN(5e4) },
 			"WallClock": func() { e.WallClock(5e4) },
+			"SetScan":   func() { e.SetScan(pts, table) },
+			"gradPass":  func() { e.gradPass(table[:4*e.scanStride], &pass) },
+			"GradScan":  func() { e.GradScan(grads) },
 			"MuOfNInto": func() { p.MuOfNInto(b, 1e5, 1e6) },
 			"BOfTInto":  func() { p.BOfTInto(b, 1e6) },
 		}
@@ -337,6 +414,30 @@ func BenchmarkGradN(b *testing.B) {
 	b.Run("oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gradSink = p.GradN(x, ns[i&3], bs)
+		}
+	})
+	// One 65-point scan of [1, N^(*)] per op, point by point and through
+	// the table's four-lane passes.
+	grid := make([]float64, 65)
+	for k := range grid {
+		grid[k] = 1 + (1e6-1)*float64(k)/64
+	}
+	dst := make([]float64, len(grid))
+	b.Run("scan-points", func(b *testing.B) {
+		e := p.NewEvaluator()
+		e.Bind(x, bs)
+		for i := 0; i < b.N; i++ {
+			for k, n := range grid {
+				dst[k] = e.GradN(n)
+			}
+		}
+	})
+	b.Run("scan-lanes", func(b *testing.B) {
+		e := p.NewEvaluator()
+		e.SetScan(grid, make([]float64, e.ScanLen(len(grid))))
+		e.Bind(x, bs)
+		for i := 0; i < b.N; i++ {
+			e.GradScan(dst)
 		}
 	})
 }
